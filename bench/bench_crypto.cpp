@@ -75,6 +75,37 @@ void BM_P256_Keygen(benchmark::State& state) {
 }
 BENCHMARK(BM_P256_Keygen);
 
+void BM_P192_Keygen(benchmark::State& state) {
+  Rng rng(7);
+  for (auto _ : state) benchmark::DoNotOptimize(generate_keypair(EcCurve::p192(), rng));
+}
+BENCHMARK(BM_P192_Keygen);
+
+// One P-256 field multiply two ways: the Montgomery CIOS loop the curve code
+// runs on, and the 512-bit product + Knuth-D reduction it replaced. Each
+// iteration feeds its result back in, so the numbers are latencies.
+void BM_FieldMul_Montgomery(benchmark::State& state) {
+  const MontField field(EcCurve::p256().p());
+  const U256 b = field.to_mont(EcCurve::p256().generator().y);
+  U256 a = field.to_mont(EcCurve::p256().generator().x);
+  for (auto _ : state) {
+    a = field.mul(a, b);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FieldMul_Montgomery);
+
+void BM_FieldMul_KnuthD(benchmark::State& state) {
+  const U256& p = EcCurve::p256().p();
+  const U256 b = EcCurve::p256().generator().y;
+  U256 a = EcCurve::p256().generator().x;
+  for (auto _ : state) {
+    a = mul_mod(a, b, p);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FieldMul_KnuthD);
+
 void BM_P256_SharedSecret(benchmark::State& state) {
   Rng rng(7);
   const auto alice = generate_keypair(EcCurve::p256(), rng);

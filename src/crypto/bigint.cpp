@@ -2,7 +2,7 @@
 
 namespace blap::crypto {
 
-__extension__ typedef unsigned __int128 u128;
+using detail::u128;
 
 std::optional<U256> U256::from_hex(std::string_view hex) {
   if (hex.empty() || hex.size() > 64) return std::nullopt;
@@ -59,26 +59,6 @@ std::size_t U256::bit_length() const {
       return 64 * limb + (64 - static_cast<std::size_t>(__builtin_clzll(w_[limb])));
   }
   return 0;
-}
-
-std::uint64_t U256::add(const U256& a, const U256& b, U256& out) {
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    const u128 s = static_cast<u128>(a.w_[i]) + b.w_[i] + carry;
-    out.w_[i] = static_cast<std::uint64_t>(s);
-    carry = static_cast<std::uint64_t>(s >> 64);
-  }
-  return carry;
-}
-
-std::uint64_t U256::sub(const U256& a, const U256& b, U256& out) {
-  std::uint64_t borrow = 0;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    const u128 d = static_cast<u128>(a.w_[i]) - b.w_[i] - borrow;
-    out.w_[i] = static_cast<std::uint64_t>(d);
-    borrow = (d >> 64) ? 1 : 0;
-  }
-  return borrow;
 }
 
 std::strong_ordering operator<=>(const U256& a, const U256& b) {
@@ -275,6 +255,35 @@ U256 inv_mod_prime(const U256& a, const U256& p) {
   U256 two(2);
   U256::sub(p, two, exponent);
   return pow_mod(a, exponent, p);
+}
+
+MontField::MontField(const U256& p) : p_(p) {
+  // n0 = -p^-1 mod 2^64 by Newton iteration: each step doubles the number
+  // of correct low bits, and p*p == 1 mod 8 seeds three of them.
+  const std::uint64_t p0 = p.limbs()[0];
+  std::uint64_t inv = p0;
+  for (int i = 0; i < 5; ++i) inv *= 2 - p0 * inv;
+  n0_ = 0 - inv;
+  // R mod p = (2^256 - p) mod p; 2^256 - p is p's two's complement.
+  U256 neg_p;
+  U256::sub(U256(), p, neg_p);
+  r_ = mod(U512::widen(neg_p), p);
+  r2_ = mul_mod(r_, r_, p);
+}
+
+U256 MontField::to_mont(const U256& a) const { return mul(a, r2_); }
+
+U256 MontField::from_mont(const U256& a) const { return mul(a, U256(1)); }
+
+U256 MontField::inv(const U256& a) const {
+  U256 exponent;
+  U256::sub(p_, U256(2), exponent);
+  U256 result = r_;
+  for (std::size_t i = exponent.bit_length(); i-- > 0;) {
+    result = sqr(result);
+    if (exponent.bit(i)) result = mul(result, a);
+  }
+  return result;
 }
 
 }  // namespace blap::crypto

@@ -11,90 +11,94 @@ U256 hx(std::string_view s) {
   return *v;
 }
 
-/// Jacobian projective point: (X, Y, Z) represents affine (X/Z^2, Y/Z^3).
+/// Jacobian projective point with Montgomery-form coordinates:
+/// (X, Y, Z) represents affine (X/Z^2, Y/Z^3); Z == 0 is infinity.
 struct Jacobian {
   U256 x, y, z;
-  bool infinity = true;
+
+  [[nodiscard]] bool infinity() const { return z.is_zero(); }
 };
 
-Jacobian to_jacobian(const EcPoint& p) {
+Jacobian to_jacobian(const MontField& f, const EcPoint& p) {
   if (p.is_infinity()) return {};
-  return {p.x, p.y, U256(1), false};
+  return {f.to_mont(p.x), f.to_mont(p.y), f.one()};
 }
 
-EcPoint to_affine(const Jacobian& p, const U256& prime) {
-  if (p.infinity || p.z.is_zero()) return EcPoint::at_infinity();
-  const U256 zinv = inv_mod_prime(p.z, prime);
-  const U256 zinv2 = mul_mod(zinv, zinv, prime);
-  const U256 zinv3 = mul_mod(zinv2, zinv, prime);
-  return EcPoint::affine(mul_mod(p.x, zinv2, prime), mul_mod(p.y, zinv3, prime));
+EcPoint to_affine(const MontField& f, const Jacobian& p) {
+  if (p.infinity()) return EcPoint::at_infinity();
+  const U256 zinv = f.inv(p.z);
+  const U256 zinv2 = f.sqr(zinv);
+  const U256 zinv3 = f.mul(zinv2, zinv);
+  return EcPoint::affine(f.from_mont(f.mul(p.x, zinv2)), f.from_mont(f.mul(p.y, zinv3)));
 }
 
-Jacobian jacobian_double(const Jacobian& p, const U256& prime, const U256& a) {
-  if (p.infinity || p.y.is_zero()) return {};
-  // Standard dbl-1998-cmo formulas.
-  const U256 xx = mul_mod(p.x, p.x, prime);
-  const U256 yy = mul_mod(p.y, p.y, prime);
-  const U256 yyyy = mul_mod(yy, yy, prime);
-  const U256 zz = mul_mod(p.z, p.z, prime);
-  // S = 4*X*YY
-  U256 s = mul_mod(p.x, yy, prime);
-  s = add_mod(s, s, prime);
-  s = add_mod(s, s, prime);
-  // M = 3*XX + a*ZZ^2
-  U256 m = add_mod(add_mod(xx, xx, prime), xx, prime);
-  m = add_mod(m, mul_mod(a, mul_mod(zz, zz, prime), prime), prime);
-  // X' = M^2 - 2*S
-  U256 x3 = mul_mod(m, m, prime);
-  x3 = sub_mod(x3, add_mod(s, s, prime), prime);
-  // Y' = M*(S - X') - 8*YYYY
-  U256 y3 = mul_mod(m, sub_mod(s, x3, prime), prime);
-  U256 eight_yyyy = add_mod(yyyy, yyyy, prime);
-  eight_yyyy = add_mod(eight_yyyy, eight_yyyy, prime);
-  eight_yyyy = add_mod(eight_yyyy, eight_yyyy, prime);
-  y3 = sub_mod(y3, eight_yyyy, prime);
-  // Z' = 2*Y*Z
-  U256 z3 = mul_mod(p.y, p.z, prime);
-  z3 = add_mod(z3, z3, prime);
-  return {x3, y3, z3, false};
+/// dbl-2001-b for a = -3 (3M + 5S). Y == 0 or Z == 0 yields Z3 == 0, so
+/// infinity and 2-torsion need no branch.
+Jacobian jacobian_double(const MontField& f, const Jacobian& p) {
+  const U256 delta = f.sqr(p.z);
+  const U256 gamma = f.sqr(p.y);
+  const U256 beta = f.mul(p.x, gamma);
+  // alpha = 3 * (X - delta) * (X + delta)
+  const U256 t = f.mul(f.sub(p.x, delta), f.add(p.x, delta));
+  const U256 alpha = f.add(f.add(t, t), t);
+  // X3 = alpha^2 - 8*beta
+  U256 beta4 = f.add(beta, beta);
+  beta4 = f.add(beta4, beta4);
+  const U256 x3 = f.sub(f.sqr(alpha), f.add(beta4, beta4));
+  // Z3 = (Y + Z)^2 - gamma - delta
+  const U256 z3 = f.sub(f.sub(f.sqr(f.add(p.y, p.z)), gamma), delta);
+  // Y3 = alpha * (4*beta - X3) - 8*gamma^2
+  U256 gamma8 = f.sqr(gamma);
+  gamma8 = f.add(gamma8, gamma8);
+  gamma8 = f.add(gamma8, gamma8);
+  gamma8 = f.add(gamma8, gamma8);
+  const U256 y3 = f.sub(f.mul(alpha, f.sub(beta4, x3)), gamma8);
+  return {x3, y3, z3};
 }
 
-Jacobian jacobian_add(const Jacobian& p, const Jacobian& q, const U256& prime, const U256& a) {
-  if (p.infinity) return q;
-  if (q.infinity) return p;
-  // add-1998-cmo formulas.
-  const U256 z1z1 = mul_mod(p.z, p.z, prime);
-  const U256 z2z2 = mul_mod(q.z, q.z, prime);
-  const U256 u1 = mul_mod(p.x, z2z2, prime);
-  const U256 u2 = mul_mod(q.x, z1z1, prime);
-  const U256 s1 = mul_mod(p.y, mul_mod(z2z2, q.z, prime), prime);
-  const U256 s2 = mul_mod(q.y, mul_mod(z1z1, p.z, prime), prime);
+/// add-1998-cmo (12M + 4S), falling back to doubling when p == q.
+Jacobian jacobian_add(const MontField& f, const Jacobian& p, const Jacobian& q) {
+  if (p.infinity()) return q;
+  if (q.infinity()) return p;
+  const U256 z1z1 = f.sqr(p.z);
+  const U256 z2z2 = f.sqr(q.z);
+  const U256 u1 = f.mul(p.x, z2z2);
+  const U256 u2 = f.mul(q.x, z1z1);
+  const U256 s1 = f.mul(p.y, f.mul(z2z2, q.z));
+  const U256 s2 = f.mul(q.y, f.mul(z1z1, p.z));
   if (u1 == u2) {
-    if (s1 == s2) return jacobian_double(p, prime, a);
+    if (s1 == s2) return jacobian_double(f, p);
     return {};  // P + (-P) = infinity
   }
-  const U256 h = sub_mod(u2, u1, prime);
-  const U256 r = sub_mod(s2, s1, prime);
-  const U256 hh = mul_mod(h, h, prime);
-  const U256 hhh = mul_mod(hh, h, prime);
-  const U256 v = mul_mod(u1, hh, prime);
+  const U256 h = f.sub(u2, u1);
+  const U256 r = f.sub(s2, s1);
+  const U256 hh = f.sqr(h);
+  const U256 hhh = f.mul(hh, h);
+  const U256 v = f.mul(u1, hh);
   // X3 = r^2 - HHH - 2*V
-  U256 x3 = mul_mod(r, r, prime);
-  x3 = sub_mod(x3, hhh, prime);
-  x3 = sub_mod(x3, add_mod(v, v, prime), prime);
+  const U256 x3 = f.sub(f.sub(f.sqr(r), hhh), f.add(v, v));
   // Y3 = r*(V - X3) - S1*HHH
-  U256 y3 = mul_mod(r, sub_mod(v, x3, prime), prime);
-  y3 = sub_mod(y3, mul_mod(s1, hhh, prime), prime);
+  const U256 y3 = f.sub(f.mul(r, f.sub(v, x3)), f.mul(s1, hhh));
   // Z3 = Z1*Z2*H
-  const U256 z3 = mul_mod(mul_mod(p.z, q.z, prime), h, prime);
-  return {x3, y3, z3, false};
+  const U256 z3 = f.mul(f.mul(p.z, q.z), h);
+  return {x3, y3, z3};
+}
+
+/// The 4-bit window of k starting at bit 4*w.
+unsigned nibble(const U256& k, std::size_t w) {
+  return static_cast<unsigned>(k.limbs()[w / 16] >> (4 * (w % 16))) & 0xF;
 }
 }  // namespace
 
 EcCurve::EcCurve(const char* name, std::size_t coord_size, U256 p, U256 a, U256 b, U256 gx,
                  U256 gy, U256 n)
     : name_(name), coord_size_(coord_size), p_(p), a_(a), b_(b), n_(n),
-      g_(EcPoint::affine(gx, gy)) {}
+      g_(EcPoint::affine(gx, gy)), field_(p) {
+  // Doubling uses the a = -3 shortcut; both NIST curves satisfy it.
+  U256 p_minus_3;
+  U256::sub(p, U256(3), p_minus_3);
+  assert(a == p_minus_3);
+}
 
 const EcCurve& EcCurve::p256() {
   static const EcCurve curve(
@@ -123,30 +127,39 @@ const EcCurve& EcCurve::p192() {
 bool EcCurve::on_curve(const EcPoint& point) const {
   if (point.is_infinity()) return false;
   if (point.x >= p_ || point.y >= p_) return false;
-  const U256 lhs = mul_mod(point.y, point.y, p_);
-  U256 rhs = mul_mod(mul_mod(point.x, point.x, p_), point.x, p_);
-  rhs = add_mod(rhs, mul_mod(a_, point.x, p_), p_);
-  rhs = add_mod(rhs, b_, p_);
-  return lhs == rhs;
+  const MontField& f = field_;
+  const U256 x = f.to_mont(point.x);
+  const U256 y = f.to_mont(point.y);
+  // y^2 == (x^2 + a) * x + b
+  const U256 rhs = f.add(f.mul(f.add(f.sqr(x), f.to_mont(a_)), x), f.to_mont(b_));
+  return f.sqr(y) == rhs;
 }
 
 EcPoint EcCurve::add(const EcPoint& lhs, const EcPoint& rhs) const {
-  return to_affine(jacobian_add(to_jacobian(lhs), to_jacobian(rhs), p_, a_), p_);
+  return to_affine(field_,
+                   jacobian_add(field_, to_jacobian(field_, lhs), to_jacobian(field_, rhs)));
 }
 
 EcPoint EcCurve::double_point(const EcPoint& point) const {
-  return to_affine(jacobian_double(to_jacobian(point), p_, a_), p_);
+  return to_affine(field_, jacobian_double(field_, to_jacobian(field_, point)));
 }
 
 EcPoint EcCurve::multiply(const U256& k, const EcPoint& point) const {
-  Jacobian result;  // infinity
-  Jacobian addend = to_jacobian(point);
-  const std::size_t bits = k.bit_length();
-  for (std::size_t i = bits; i-- > 0;) {
-    result = jacobian_double(result, p_, a_);
-    if (k.bit(i)) result = jacobian_add(result, addend, p_, a_);
+  const std::size_t windows = (k.bit_length() + 3) / 4;
+  if (windows == 0 || point.is_infinity()) return EcPoint::at_infinity();
+  // table[d] = d * point for d in 1..15.
+  Jacobian table[16];
+  table[1] = to_jacobian(field_, point);
+  table[2] = jacobian_double(field_, table[1]);
+  for (std::size_t d = 3; d < 16; ++d) table[d] = jacobian_add(field_, table[d - 1], table[1]);
+
+  // Fixed 4-bit window, most significant first; the top window is nonzero.
+  Jacobian acc = table[nibble(k, windows - 1)];
+  for (std::size_t w = windows - 1; w-- > 0;) {
+    for (int i = 0; i < 4; ++i) acc = jacobian_double(field_, acc);
+    if (const unsigned d = nibble(k, w); d != 0) acc = jacobian_add(field_, acc, table[d]);
   }
-  return to_affine(result, p_);
+  return to_affine(field_, acc);
 }
 
 EcKeyPair generate_keypair(const EcCurve& curve, Rng& rng) {

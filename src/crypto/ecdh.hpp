@@ -8,11 +8,14 @@
 // the key cannot be recomputed by an observer of the air interface, only
 // leaked through the HCI.
 //
-// Curve arithmetic is short-Weierstrass (y^2 = x^3 + ax + b) with Jacobian
-// projective coordinates so a scalar multiplication needs a single field
-// inversion. Points are validated on receipt (on-curve + non-infinity), which
-// also closes the fixed-coordinate invalid-curve attack referenced in the
-// paper's related work [10].
+// Curve arithmetic is short-Weierstrass (y^2 = x^3 + ax + b, with a = -3 on
+// both curves) over Jacobian projective coordinates held in Montgomery form
+// (MontField), so a scalar multiplication needs a single field inversion.
+// multiply() walks the scalar in fixed 4-bit windows over a per-call table of
+// 1..15 * P: four doublings and at most one addition per window. Nothing here
+// is constant-time; see bigint.hpp. Points are validated on receipt (on-curve
+// + non-infinity), which also closes the fixed-coordinate invalid-curve attack
+// referenced in the paper's related work [10].
 #pragma once
 
 #include <optional>
@@ -57,7 +60,7 @@ class EcCurve {
 
   [[nodiscard]] EcPoint add(const EcPoint& lhs, const EcPoint& rhs) const;
   [[nodiscard]] EcPoint double_point(const EcPoint& point) const;
-  /// k * point via double-and-add over Jacobian coordinates.
+  /// k * point via a fixed 4-bit window over Jacobian coordinates.
   [[nodiscard]] EcPoint multiply(const U256& k, const EcPoint& point) const;
 
  private:
@@ -68,6 +71,7 @@ class EcCurve {
   std::size_t coord_size_;
   U256 p_, a_, b_, n_;
   EcPoint g_;
+  MontField field_;
 };
 
 /// An ECDH key pair on a given curve.

@@ -65,7 +65,9 @@ ChaosTrialReport run_chaos_trial(Scenario& s, const Snapshot& warm, std::uint64_
     // refused. snapshot.load.truncated fires mid-commit, so the simulation
     // may be half-restored — the caller must rebuild before reusing it.
     report.outcome = ChaosOutcome::kCleanError;
-    report.virtual_end = s.sim->now();
+    // Not s.sim->now(): that is the clock of whatever trial last used this
+    // worker scenario, so it would depend on worker count and scheduling.
+    report.virtual_end = warm.captured_at();
     finish_counts();
     return report;
   }

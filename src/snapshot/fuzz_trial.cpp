@@ -254,7 +254,9 @@ FuzzStackReport run_fuzz_stack_trial(Scenario& s, const Snapshot& warm,
     FuzzStackReport report;
     report.restored = false;
     report.restore_error = why;
-    report.virtual_end = s.sim->now();
+    // Not s.sim->now(): a refused restore leaves the clock of whatever trial
+    // last used this worker, which would leak scheduling into the report.
+    report.virtual_end = warm.captured_at();
     return report;
   }
   return run_trial_body(s, seed, input, feature);

@@ -132,6 +132,29 @@ TEST(TeardownRace, SupervisionTimeoutDuringTeardownNotifiesOnce) {
   EXPECT_TRUE(s.accessory->controller().audit_links().empty());
 }
 
+// A refused restore must report a time that depends only on the trial. The
+// worker scenario here is dirtied first (its clock pushed far past the warm
+// capture, as a previous trial on a reused worker would leave it), so
+// reporting the scenario's clock would show up as a mismatch.
+TEST(ChaosTrial, CleanErrorReportsWarmCaptureTimeOnDirtyWorker) {
+  snapshot::Scenario probe = snapshot::build_scenario(10'000, snapshot::bonded_cell_params());
+  snapshot::bonded_warm_setup(probe);
+  std::string why;
+  const auto warm = snapshot::Snapshot::capture(*probe.sim, &why);
+  ASSERT_TRUE(warm.has_value()) << why;
+
+  snapshot::Scenario worker = snapshot::build_scenario(10'000, snapshot::bonded_cell_params());
+  snapshot::bonded_warm_setup(worker);
+  worker.sim->run_for(300 * kSecond);
+  ASSERT_NE(worker.sim->now(), warm->captured_at());
+
+  auto plan = chaos::ChaosPlan::inject({{"snapshot.load.header_reject", 0}});
+  const auto report = snapshot::run_chaos_trial(worker, *warm, 10'000, plan);
+  EXPECT_EQ(report.outcome, snapshot::ChaosOutcome::kCleanError);
+  EXPECT_EQ(report.fired, 1u);
+  EXPECT_EQ(report.virtual_end, warm->captured_at());
+}
+
 // The report must be a pure function of the config: same sweep on 1 worker
 // and on 8 workers, byte-identical JSON (the CI smoke job diffs exactly
 // this). A reduced ordinal cap keeps the test inside a ctest budget.
