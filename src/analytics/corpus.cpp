@@ -273,28 +273,23 @@ std::optional<CorpusSummary> generate_corpus(const CorpusOptions& options) {
   const auto& classes = corpus_classes();
   for (std::size_t class_index = 0; class_index < classes.size(); ++class_index) {
     const ClassSpec& spec = classes[class_index];
-    campaign::CampaignConfig cfg;
-    cfg.label = "corpus " + spec.name;
-    cfg.trials = options.files_per_class;
-    cfg.jobs = options.jobs;
     // Distinct seed stream per class, derived from the corpus root.
-    cfg.root_seed = campaign::trial_seed(options.root_seed, class_index);
+    const std::uint64_t class_seed = campaign::trial_seed(options.root_seed, class_index);
 
     std::vector<ManifestEntry> slots(options.files_per_class);
-    campaign::run_campaign(cfg, [&](const campaign::TrialSpec& trial) {
-      campaign::TrialResult result;
-      TrialOutput out = spec.trial(trial.seed);
-      ManifestEntry& entry = slots[trial.index];
-      if (!out.ok) return result;  // voided trial: no file, no manifest row
-      entry.file = strfmt("%s_%04zu.btsnoop", spec.name.c_str(), trial.index);
-      entry.labels = std::move(out.labels);
-      std::ofstream file(options.dir + "/" + entry.file, std::ios::binary);
-      file.write(reinterpret_cast<const char*>(out.snoop.data()),
-                 static_cast<std::streamsize>(out.snoop.size()));
-      file.flush();
-      entry.written = static_cast<bool>(file);
-      result.success = entry.written;
-      return result;
+    campaign::parallel_indexed(options.files_per_class, options.jobs, [&] {
+      return [&](std::size_t i) {
+        TrialOutput out = spec.trial(campaign::trial_seed(class_seed, i));
+        if (!out.ok) return;  // voided trial: no file, no manifest row
+        ManifestEntry& entry = slots[i];
+        entry.file = strfmt("%s_%04zu.btsnoop", spec.name.c_str(), i);
+        entry.labels = std::move(out.labels);
+        std::ofstream file(options.dir + "/" + entry.file, std::ios::binary);
+        file.write(reinterpret_cast<const char*>(out.snoop.data()),
+                   static_cast<std::streamsize>(out.snoop.size()));
+        file.flush();
+        entry.written = static_cast<bool>(file);
+      };
     });
     for (auto& entry : slots) {
       if (!entry.written) {

@@ -4,8 +4,8 @@
 // and the simulator is the one place ground truth exists by construction:
 // every capture comes out of a scenario whose outcome (pair status, PLOC
 // establishment, retry counters) is known from the simulation side, never
-// from scanning the log the detectors will scan. generate_corpus() runs one
-// campaign per scenario class across the campaign worker pool and writes
+// from scanning the log the detectors will scan. generate_corpus() runs
+// each scenario class's trials across campaign::parallel_indexed and writes
 //
 //   <dir>/<class>_<index>.btsnoop   — the victim device's HCI dump
 //   <dir>/labels.jsonl              — {"file": ..., "labels": [...]} per file

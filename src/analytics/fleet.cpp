@@ -1,45 +1,16 @@
 #include "analytics/fleet.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdarg>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 #include <utility>
 
 #include "analytics/mapped_file.hpp"
 #include "campaign/campaign.hpp"
+#include "common/log.hpp"
 
 namespace blap::analytics {
 namespace {
-
-void append_fmt(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  va_list args_copy;
-  va_copy(args_copy, args);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  if (n < 0) {
-    va_end(args_copy);
-    return;
-  }
-  if (static_cast<std::size_t>(n) < sizeof buf) {
-    va_end(args_copy);
-    out.append(buf, static_cast<std::size_t>(n));
-    return;
-  }
-  std::vector<char> big(static_cast<std::size_t>(n) + 1);
-  std::vsnprintf(big.data(), big.size(), fmt, args_copy);
-  va_end(args_copy);
-  out.append(big.data(), static_cast<std::size_t>(n));
-}
 
 void append_double(std::string& out, double v) { append_fmt(out, "%.6f", v); }
 
@@ -230,28 +201,12 @@ FleetReport analyze_files(std::vector<std::string> paths, const FleetConfig& con
   });
 
   std::vector<FileReport> slots(paths.size());
-  const unsigned jobs = paths.empty()
-                            ? 1
-                            : std::min<unsigned>(campaign::resolve_jobs(config.jobs),
-                                                 static_cast<unsigned>(paths.size()));
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
+  campaign::parallel_indexed(paths.size(), config.jobs, [&] {
     // One detector set per worker, reused file to file (finish() resets).
-    auto detectors = make_default_detectors(config.detectors);
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= paths.size()) break;
+    return [&, detectors = make_default_detectors(config.detectors)](std::size_t i) mutable {
       slots[i] = analyze_file(paths[i], detectors);
-    }
-  };
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
-  }
+    };
+  });
 
   FleetReport report;
   for (const auto& name : default_detector_names())

@@ -7,10 +7,10 @@
 // when a label manifest accompanies the corpus, a precision/recall table
 // per detector.
 //
-// Parallelism follows the campaign engine's contract (campaign.hpp): the
-// file list is sorted, workers pull indices off one atomic counter and
-// write into pre-sized result slots, and aggregation runs sequentially in
-// index order. The report is therefore a pure function of the input files
+// Parallelism runs on campaign::parallel_indexed (campaign.hpp): the file
+// list is sorted, each worker scans the indices it claims with its own
+// detector set into pre-sized result slots, and aggregation runs
+// sequentially in index order. The report is therefore a pure function of the input files
 // — byte-identical JSON for any BLAP_JOBS value.
 #pragma once
 

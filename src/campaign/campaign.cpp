@@ -1,13 +1,12 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 #include <thread>
+
+#include "common/log.hpp"
 
 namespace blap::campaign {
 namespace {
@@ -17,34 +16,6 @@ using Clock = std::chrono::steady_clock;
 std::uint64_t elapsed_ns(Clock::time_point from, Clock::time_point to) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
-}
-
-void append_fmt(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  va_list args_copy;
-  va_copy(args_copy, args);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  if (n < 0) {
-    va_end(args_copy);
-    return;
-  }
-  if (static_cast<std::size_t>(n) < sizeof buf) {
-    va_end(args_copy);
-    out.append(buf, static_cast<std::size_t>(n));
-    return;
-  }
-  // The stack buffer clipped the output (long campaign labels); reformat
-  // into an exactly-sized heap buffer instead of truncating silently.
-  std::vector<char> big(static_cast<std::size_t>(n) + 1);
-  std::vsnprintf(big.data(), big.size(), fmt, args_copy);
-  va_end(args_copy);
-  out.append(big.data(), static_cast<std::size_t>(n));
 }
 
 /// Shortest %.17g-style representation that still round-trips is overkill
@@ -211,6 +182,10 @@ std::string CampaignSummary::timing_report() const {
 }
 
 CampaignSummary run_campaign(const CampaignConfig& config, const TrialFn& fn) {
+  return run_campaign(config, [&fn] { return TrialFn(std::cref(fn)); });
+}
+
+CampaignSummary run_campaign(const CampaignConfig& config, const TrialFactory& make_trial) {
   CampaignSummary summary;
   summary.label = config.label;
   summary.root_seed = config.root_seed;
@@ -218,19 +193,11 @@ CampaignSummary run_campaign(const CampaignConfig& config, const TrialFn& fn) {
   if (config.trials == 0) return summary;
 
   const SeedFn& derive = config.seed_fn ? config.seed_fn : SeedFn(trial_seed);
-  const unsigned jobs = std::max(
-      1u, std::min(resolve_jobs(config.jobs),
-                   static_cast<unsigned>(std::min<std::size_t>(
-                       config.trials, 1u << 16))));
-  summary.jobs_used = jobs;
-
   summary.results.assign(config.trials, TrialResult{});
-  std::atomic<std::size_t> next{0};
 
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= config.trials) break;
+  const auto batch_start = Clock::now();
+  summary.jobs_used = parallel_indexed(config.trials, config.jobs, [&] {
+    return [&, fn = make_trial()](std::size_t i) {
       TrialSpec spec{i, derive(config.root_seed, i)};
       const auto t0 = Clock::now();
       TrialResult r = fn(spec);
@@ -239,18 +206,8 @@ CampaignSummary run_campaign(const CampaignConfig& config, const TrialFn& fn) {
       r.seed = spec.seed;
       r.wall_ns = elapsed_ns(t0, t1);
       summary.results[i] = std::move(r);
-    }
-  };
-
-  const auto batch_start = Clock::now();
-  if (jobs == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
+    };
+  });
   summary.wall_total_ns = elapsed_ns(batch_start, Clock::now());
 
   // Sequential, index-ordered aggregation: deterministic for any `jobs`.

@@ -9,20 +9,30 @@
 //     by default a SplitMix64 stream — so no trial ever observes which
 //     thread or in which order it ran;
 //   * trials write into a pre-sized results vector at their own index;
-//     workers share nothing else but an atomic "next trial" counter;
+//     workers share nothing else but parallel_indexed()'s atomic "next
+//     index" counter;
 //   * aggregation (success counts, Wilson 95% CI, virtual-time histogram,
 //     JSON/CSV emit) runs sequentially over the index-ordered results, so
 //     the aggregate output is a pure function of the root seed.
+//
+// parallel_indexed() is the one worker pool in the tree: the fork, chaos,
+// fuzz, fleet-scan and corpus engines run on it too, each keeping the same
+// three rules (claim an index, write slot i, merge in index order).
 //
 // Wall-clock timing is recorded per trial for throughput reporting, but is
 // deliberately excluded from to_json()/to_csv() — those must be
 // byte-identical across re-runs and across BLAP_JOBS settings.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/scheduler.hpp"
@@ -42,6 +52,50 @@ std::uint64_t trial_seed(std::uint64_t root_seed, std::uint64_t index);
 /// Worker count resolution: explicit request > BLAP_JOBS env >
 /// hardware_concurrency (min 1).
 unsigned resolve_jobs(unsigned requested = 0);
+
+/// Run `run(i)` exactly once for every i in [0, n) on
+/// min(resolve_jobs(jobs), n, 65536) worker threads (at least one; a single
+/// worker runs on the calling thread). Each worker calls `make_worker()`
+/// once, on its own thread, and feeds every index it claims from one shared
+/// atomic counter to the callable that call returned — so per-worker state
+/// (a warm scenario, a detector set) lives in that callable for exactly as
+/// long as the worker runs. Which worker runs which index is scheduling
+/// luck; callers stay deterministic by writing only slot i from index i and
+/// merging the slots in index order afterwards. Returns the worker count.
+/// An exception thrown by a worker stops that worker only; the first one
+/// is rethrown on the calling thread once every worker has finished.
+template <typename MakeWorker>
+unsigned parallel_indexed(std::size_t n, unsigned jobs, MakeWorker&& make_worker) {
+  const unsigned workers = std::max(
+      1u, std::min(resolve_jobs(jobs),
+                   static_cast<unsigned>(std::min<std::size_t>(n, 1u << 16))));
+  std::atomic<std::size_t> next{0};
+  std::mutex failure_mutex;
+  std::exception_ptr failure;
+  const auto drain = [&] {
+    try {
+      auto run = make_worker();
+      for (;;) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) return;
+        run(i);
+      }
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(failure_mutex);
+      if (!failure) failure = std::current_exception();
+    }
+  };
+  if (workers == 1) {
+    drain();
+  } else {
+    // jthread joins on destruction, so a failed spawn still joins the rest.
+    std::vector<std::jthread> threads;
+    threads.reserve(workers);
+    for (unsigned t = 0; t < workers; ++t) threads.emplace_back(drain);
+  }
+  if (failure) std::rethrow_exception(failure);
+  return workers;
+}
 
 /// One trial's identity, handed to the trial function.
 struct TrialSpec {
@@ -68,6 +122,9 @@ struct TrialResult {
 };
 
 using TrialFn = std::function<TrialResult(const TrialSpec&)>;
+/// Per-worker trial factory: run_campaign() calls it once on each worker
+/// thread, so the TrialFn it returns can own that worker's reusable state.
+using TrialFactory = std::function<TrialFn()>;
 /// Seed derivation hook: (root_seed, index) -> trial seed. The default is
 /// trial_seed(); benches that predate the engine install `root + index` to
 /// stay bit-compatible with their historical sequential seeding.
@@ -138,10 +195,16 @@ struct CampaignSummary {
   [[nodiscard]] std::string timing_report() const;
 };
 
-/// Run `config.trials` independent trials of `fn` across a worker pool and
-/// aggregate. `fn` must be safe to call concurrently from multiple threads
-/// on distinct TrialSpecs (each trial should build its own Simulation from
-/// spec.seed and share nothing).
+/// Run `config.trials` independent trials of `fn` across parallel_indexed()
+/// and aggregate. `fn` must be safe to call concurrently from multiple
+/// threads on distinct TrialSpecs (each trial should build its own
+/// Simulation from spec.seed and share nothing).
 CampaignSummary run_campaign(const CampaignConfig& config, const TrialFn& fn);
+
+/// Same campaign, with one TrialFn per worker from `make_trial`: trials a
+/// worker claims run through the function it made, one after another, so
+/// that function may reuse state across them (run_fork_campaign keeps its
+/// warm scenario there). Results must still depend on the spec alone.
+CampaignSummary run_campaign(const CampaignConfig& config, const TrialFactory& make_trial);
 
 }  // namespace blap::campaign

@@ -1,46 +1,17 @@
 #include "chaos/chaos_campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <set>
 #include <utility>
 
 #include "campaign/campaign.hpp"
+#include "obs/obs.hpp"
 #include "snapshot/replay.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace blap::campaign {
-namespace {
-
-/// Distinguishes sweeps so a pooled worker (or the calling thread under
-/// jobs=1) never reuses a warm scenario across run_chaos_campaign() calls.
-std::atomic<std::uint64_t> g_chaos_epoch{0};
-
-struct WorkerState {
-  std::uint64_t epoch = 0;
-  /// A failed restore (the snapshot.load.* failpoints) can leave the
-  /// simulation half-restored; the next trial on this worker rebuilds.
-  bool dirty = false;
-  snapshot::Scenario scenario;
-};
-
-void json_escape_into(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-}
-
-}  // namespace
 
 ChaosCampaignReport run_chaos_campaign(const ChaosCampaignConfig& config) {
   ChaosCampaignReport report;
@@ -98,41 +69,24 @@ ChaosCampaignReport run_chaos_campaign(const ChaosCampaignConfig& config) {
   // is the only degree of freedom — and write their record at their own
   // index, so the report is BLAP_JOBS-independent.
   std::vector<ChaosTrialRecord> records(armed.size());
-  CampaignConfig cfg;
-  cfg.label = "chaos-sweep";
-  cfg.trials = armed.size();
-  cfg.root_seed = config.seed;
-  cfg.jobs = config.jobs;
-  cfg.seed_fn = [](std::uint64_t root, std::size_t) { return root; };
+  parallel_indexed(armed.size(), config.jobs, [&] {
+    // This worker's scenario, built on its first trial and reused after.
+    return [&, s = snapshot::Scenario{}](std::size_t i) mutable {
+      if (s.sim == nullptr) s = snapshot::build_scenario(config.seed, config.scenario);
+      auto plan = chaos::ChaosPlan::inject(armed[i]);
+      auto trial = snapshot::run_chaos_trial(s, *warm, config.seed, plan);
+      // A refused restore (the snapshot.load.* failpoints) can leave the
+      // simulation half-restored: rebuild before this worker's next trial.
+      if (trial.outcome == snapshot::ChaosOutcome::kCleanError) s = {};
 
-  const std::uint64_t epoch = g_chaos_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
-  run_campaign(cfg, [&](const TrialSpec& spec) {
-    thread_local std::unique_ptr<WorkerState> tls;
-    if (tls == nullptr || tls->epoch != epoch || tls->dirty) {
-      if (tls == nullptr) tls = std::make_unique<WorkerState>();
-      tls->epoch = epoch;
-      tls->dirty = false;
-      tls->scenario = snapshot::build_scenario(config.seed, config.scenario);
-    }
-
-    auto plan = chaos::ChaosPlan::inject(armed[spec.index]);
-    auto trial = snapshot::run_chaos_trial(tls->scenario, *warm, config.seed, plan);
-    if (trial.outcome == snapshot::ChaosOutcome::kCleanError) tls->dirty = true;
-
-    ChaosTrialRecord& rec = records[spec.index];
-    rec.faults = armed[spec.index];
-    rec.outcome = trial.outcome;
-    rec.body_success = trial.body_success;
-    rec.fired = trial.fired;
-    rec.virtual_end = trial.virtual_end;
-    rec.violations = std::move(trial.violations);
-
-    TrialResult r;
-    r.success = trial.outcome != snapshot::ChaosOutcome::kViolation &&
-                trial.outcome != snapshot::ChaosOutcome::kStuck;
-    r.value = static_cast<double>(static_cast<int>(trial.outcome));
-    r.virtual_end = trial.virtual_end;
-    return r;
+      ChaosTrialRecord& rec = records[i];
+      rec.faults = armed[i];
+      rec.outcome = trial.outcome;
+      rec.body_success = trial.body_success;
+      rec.fired = trial.fired;
+      rec.virtual_end = trial.virtual_end;
+      rec.violations = std::move(trial.violations);
+    };
   });
 
   for (const ChaosTrialRecord& rec : records) {
@@ -216,10 +170,10 @@ std::string ChaosCampaignReport::to_json() const {
       out += ", \"violations\": [";
       for (std::size_t v = 0; v < rec.violations.size(); ++v) {
         if (v != 0) out += ", ";
-        out += "\"";
-        json_escape_into(out, std::string(rec.violations[v].invariant) + ": " +
-                                  rec.violations[v].detail);
-        out += "\"";
+        out += "\"" +
+               obs::json_escape(std::string(rec.violations[v].invariant) + ": " +
+                                rec.violations[v].detail) +
+               "\"";
       }
       out += "]";
     }

@@ -14,7 +14,7 @@
 //      different sites.
 //   3. EXPLORE. Each trial re-runs the identical scenario — same warm
 //      snapshot, same reseed — with only the armed fault different, across
-//      the campaign worker pool. A single-fault trial is byte-identical to
+//      parallel_indexed() workers. A single-fault trial is byte-identical to
 //      the baseline up to its armed ordinal, so the fault is guaranteed to
 //      fire (pairs guarantee only their first fault). Outcomes and the
 //      report are pure functions of the config: byte-identical for any

@@ -5,7 +5,7 @@
 
 namespace blap::chaos {
 
-thread_local ChaosPlan* tl_plan = nullptr;
+constinit thread_local ChaosPlan* tl_plan = nullptr;
 
 namespace {
 

@@ -90,8 +90,10 @@ class ChaosPlan {
 
 /// The plan armed on the calling thread; null means chaos is off. Not a
 /// singleton on purpose: arming is scoped (ScopedChaosPlan) and per-thread,
-/// exactly like a campaign trial's Simulation.
-extern thread_local ChaosPlan* tl_plan;
+/// exactly like a campaign trial's Simulation. `constinit` promises every
+/// includer there is no dynamic initializer, so a read is a plain TLS load
+/// with no call through the thread_local init wrapper.
+extern constinit thread_local ChaosPlan* tl_plan;
 
 /// Out-of-line slow path; only reached when a plan is armed.
 [[nodiscard]] bool failpoint_hit(const char* site);

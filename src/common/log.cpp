@@ -62,4 +62,29 @@ std::string strfmt(const char* fmt, ...) {
   return std::string(buf.data(), static_cast<std::size_t>(n));
 }
 
+void append_fmt(std::string& out, const char* fmt, ...) {
+  char buf[256];
+  va_list args;
+  va_start(args, fmt);
+  va_list args_copy;
+  va_copy(args_copy, args);
+  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
+  va_end(args);
+  if (n < 0) {
+    va_end(args_copy);
+    return;
+  }
+  if (static_cast<std::size_t>(n) < sizeof buf) {
+    va_end(args_copy);
+    out.append(buf, static_cast<std::size_t>(n));
+    return;
+  }
+  // The stack buffer clipped the output (e.g. a long campaign label);
+  // reformat into an exactly-sized heap buffer instead of truncating.
+  std::vector<char> big(static_cast<std::size_t>(n) + 1);
+  std::vsnprintf(big.data(), big.size(), fmt, args_copy);
+  va_end(args_copy);
+  out.append(big.data(), static_cast<std::size_t>(n));
+}
+
 }  // namespace blap

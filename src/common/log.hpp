@@ -54,6 +54,10 @@ class Logger {
 /// printf-style formatting into std::string.
 std::string strfmt(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// printf-style formatting appended to `out`: strfmt() without the
+/// temporary, for emitters that build one large report string.
+void append_fmt(std::string& out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+
 #define BLAP_LOG(level, component, ...)                                       \
   do {                                                                        \
     if (::blap::Logger::instance().enabled(level)) {                          \

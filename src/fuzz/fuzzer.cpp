@@ -1,13 +1,12 @@
 #include "fuzz/fuzzer.hpp"
 
-#include <atomic>
-#include <thread>
 #include <utility>
 
 #include "campaign/campaign.hpp"
 #include "common/base64.hpp"
 #include "fuzz/minimize.hpp"
 #include "fuzz/mutator.hpp"
+#include "obs/obs.hpp"
 
 namespace blap::fuzz {
 namespace {
@@ -92,41 +91,16 @@ ShardResult run_shard(const FuzzConfig& config, const TargetFactory& factory,
   return out;
 }
 
-void append_json_string(std::string& out, const std::string& value) {
-  out += '"';
-  for (const char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          out += kHex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 }  // namespace
 
 std::string FuzzReport::to_json() const {
-  std::string out = "{\n  \"target\": ";
-  append_json_string(out, target);
+  std::string out = "{\n  \"target\": \"" + obs::json_escape(target) + "\"";
   out += ",\n  \"seed\": " + std::to_string(seed);
   out += ",\n  \"shards\": " + std::to_string(shards);
   out += ",\n  \"iterations_per_shard\": " + std::to_string(iterations_per_shard);
   out += ",\n  \"executions\": " + std::to_string(executions);
   out += ",\n  \"corpus_entries\": " + std::to_string(corpus.size());
-  out += ",\n  \"corpus_digest\": ";
-  append_json_string(out, corpus_digest);
+  out += ",\n  \"corpus_digest\": \"" + obs::json_escape(corpus_digest) + "\"";
   out += ",\n  \"shard_features\": [";
   for (std::size_t i = 0; i < shard_features.size(); ++i) {
     if (i != 0) out += ", ";
@@ -140,14 +114,10 @@ std::string FuzzReport::to_json() const {
     out += ", \"iteration\": " + std::to_string(f.iteration);
     out += ", \"from_seed\": ";
     out += f.from_seed ? "true" : "false";
-    out += ", \"kind\": ";
-    append_json_string(out, f.kind);
-    out += ", \"detail\": ";
-    append_json_string(out, f.detail);
-    out += ", \"input\": ";
-    append_json_string(out, base64_encode(f.input));
-    out += ", \"minimized\": ";
-    append_json_string(out, base64_encode(f.minimized));
+    out += ", \"kind\": \"" + obs::json_escape(f.kind) + "\"";
+    out += ", \"detail\": \"" + obs::json_escape(f.detail) + "\"";
+    out += ", \"input\": \"" + obs::json_escape(base64_encode(f.input)) + "\"";
+    out += ", \"minimized\": \"" + obs::json_escape(base64_encode(f.minimized)) + "\"";
     out += "}";
   }
   out += findings.empty() ? "]\n}\n" : "\n  ]\n}\n";
@@ -167,31 +137,15 @@ std::optional<FuzzReport> run_fuzz_campaign(const FuzzConfig& config, std::strin
   report.shards = config.shards;
   report.iterations_per_shard = config.iterations;
 
-  unsigned jobs = campaign::resolve_jobs(config.jobs);
-  if (jobs > config.shards) jobs = static_cast<unsigned>(config.shards);
-  if (jobs < 1) jobs = 1;
+  std::vector<ShardResult> shard_results(config.shards);
   // Sancov counters are process-global; concurrent shards would observe each
   // other's edges and the per-shard determinism contract would break.
-  if (sancov_active()) jobs = 1;
-  report.jobs_used = jobs;
-
-  std::vector<ShardResult> shard_results(config.shards);
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    while (true) {
-      const std::size_t shard = next.fetch_add(1);
-      if (shard >= config.shards) return;
-      shard_results[shard] = run_shard(config, factory, shard);
-    }
-  };
-  if (jobs == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i) threads.emplace_back(worker);
-    for (auto& t : threads) t.join();
-  }
+  report.jobs_used = campaign::parallel_indexed(
+      config.shards, sancov_active() ? 1 : config.jobs, [&] {
+        return [&](std::size_t shard) {
+          shard_results[shard] = run_shard(config, factory, shard);
+        };
+      });
 
   // Deterministic merge: shard order, not completion order.
   for (std::size_t shard = 0; shard < config.shards; ++shard) {

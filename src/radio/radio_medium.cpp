@@ -203,9 +203,9 @@ void RadioMedium::page(RadioEndpoint* initiator, const BdAddr& target, SimTime t
     // stale on detach, so this is O(1) — and, unlike the pointer scan it
     // replaces, immune to an endpoint detaching and re-attaching in the
     // window (a new attachment is a new generation).
-    RadioEndpoint* initiator = registry_.resolve(initiator_handle);
+    RadioEndpoint* live_initiator = registry_.resolve(initiator_handle);
     RadioEndpoint* responder = registry_.resolve(winner_handle);
-    if (initiator == nullptr || responder == nullptr) {
+    if (live_initiator == nullptr || responder == nullptr) {
       if (on_result) on_result(std::nullopt);
       return;
     }
@@ -216,7 +216,7 @@ void RadioMedium::page(RadioEndpoint* initiator, const BdAddr& target, SimTime t
       return;
     }
     Link link;
-    link.a = initiator;
+    link.a = live_initiator;
     link.b = responder;
     link.a_handle = initiator_handle;
     link.b_handle = winner_handle;
@@ -229,17 +229,17 @@ void RadioMedium::page(RadioEndpoint* initiator, const BdAddr& target, SimTime t
       obs_->instant(scheduler_.now(), obs_->device_tid(responder->radio_name()),
                     obs::Layer::kRadio, "link_up",
                     strfmt("link %llu, paged by %s", static_cast<unsigned long long>(id),
-                           initiator->radio_name().c_str()));
+                           live_initiator->radio_name().c_str()));
     }
     BLAP_DEBUG("radio", "link %llu up: %s -> %s", static_cast<unsigned long long>(id),
-               initiator->radio_address().to_string().c_str(),
+               live_initiator->radio_address().to_string().c_str(),
                responder->radio_address().to_string().c_str());
     // The responder's baseband misses the link-up (its POLL/NULL handshake
     // was jammed): the link exists but only the initiator knows. The
     // initiator's LMP response timeout is the genuine recovery path.
     if (!BLAP_FAILPOINT("radio.link.responder_notify_lost"))
-      responder->on_link_established(id, initiator->radio_address(), false);
-    initiator->on_link_established(id, responder->radio_address(), true);
+      responder->on_link_established(id, live_initiator->radio_address(), false);
+    live_initiator->on_link_established(id, responder->radio_address(), true);
     if (on_result) on_result(id);
   });
 }
@@ -295,9 +295,9 @@ void RadioMedium::send_frame(LinkId link, RadioEndpoint* sender, Bytes frame,
       // handle going stale with the link still up cannot happen, but the
       // resolve keeps the dereference provably safe.
       if (!links_.contains(link)) return;
-      RadioEndpoint* receiver = registry_.resolve(receiver_handle);
-      if (receiver == nullptr) return;
-      receiver->on_air_frame(link, frame);
+      RadioEndpoint* live_receiver = registry_.resolve(receiver_handle);
+      if (live_receiver == nullptr) return;
+      live_receiver->on_air_frame(link, frame);
     });
   }
   if (on_report) {

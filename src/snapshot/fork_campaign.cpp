@@ -1,6 +1,5 @@
 #include "snapshot/fork_campaign.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -11,16 +10,6 @@
 
 namespace blap::snapshot {
 namespace {
-
-/// Distinguishes campaigns so a pooled worker thread (or the calling thread
-/// under jobs=1) never reuses a warm scenario across run_fork_campaign()
-/// calls with different parameters.
-std::atomic<std::uint64_t> g_campaign_epoch{0};
-
-struct WorkerState {
-  std::uint64_t epoch = 0;
-  Scenario scenario;
-};
 
 /// Deterministic post-pass: walk the index-ordered results and write a
 /// bundle for the first `limit` matches. Identical output for any worker
@@ -102,7 +91,6 @@ campaign::CampaignSummary run_fork_campaign(const campaign::CampaignConfig& conf
   std::string why;
   const auto warm = Snapshot::capture(*probe.sim, &why);
 
-  campaign::CampaignSummary summary;
   if (!warm.has_value()) {
     // The warm point is not quiescent for this scenario: fall back to the
     // rebuild path. Same trials, same seeds, same aggregates — no speedup.
@@ -110,30 +98,26 @@ campaign::CampaignSummary run_fork_campaign(const campaign::CampaignConfig& conf
       stats->fork_used = false;
       stats->fallback_reason = why;
     }
-    summary = campaign::run_campaign(config, rebuild_trial);
-    return summary;
+    return campaign::run_campaign(config, rebuild_trial);
   }
 
   if (stats != nullptr) stats->fork_used = true;
-  const std::uint64_t epoch = g_campaign_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
-  summary = campaign::run_campaign(config, [&](const campaign::TrialSpec& spec) {
-    thread_local std::unique_ptr<WorkerState> tls;
-    if (tls == nullptr || tls->epoch != epoch) {
-      tls = std::make_unique<WorkerState>();
-      tls->epoch = epoch;
-      // A virgin topology build is enough even under a warm-up: restore()
-      // applies the complete post-warm-up serialized state onto it.
-      tls->scenario = build_scenario(config.root_seed, scenario);
-    }
-    Scenario& s = tls->scenario;
-    std::string restore_why;
-    if (!warm->restore(*s.sim, &restore_why)) {
-      // Cannot happen for a scenario the probe just captured; stay correct
-      // anyway by giving this trial a fresh rebuild-path run.
-      return rebuild_trial(spec);
-    }
-    s.sim->reseed(spec.seed);
-    return trial(spec, s);
+  campaign::CampaignSummary summary = campaign::run_campaign(config, [&] {
+    // This worker's scenario, built on its first trial and reused after
+    // (shared_ptr only because a TrialFn must be copyable). A virgin
+    // topology build is enough even under a warm-up: restore() applies the
+    // complete post-warm-up serialized state onto it.
+    auto s = std::make_shared<Scenario>();
+    return [&, s](const campaign::TrialSpec& spec) {
+      if (s->sim == nullptr) *s = build_scenario(config.root_seed, scenario);
+      if (!warm->restore(*s->sim)) {
+        // Cannot happen for a scenario the probe just captured; stay correct
+        // anyway by giving this trial a fresh rebuild-path run.
+        return rebuild_trial(spec);
+      }
+      s->sim->reseed(spec.seed);
+      return trial(spec, *s);
+    };
   });
 
   if (record != nullptr && !record->dir.empty())

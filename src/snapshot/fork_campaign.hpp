@@ -13,7 +13,9 @@
 // diffs them — while the per-trial cost drops to a restore. (Plain topology
 // build is already cheap — ~30 µs after the scheduler-pooling work — so
 // the big wins come from warm-ups that share an expensive prefix;
-// bench_snapshot_fork quantifies both.)
+// bench_snapshot_fork quantifies both.) Each worker restores onto its own
+// scenario, built on its first trial and held by the per-worker TrialFn
+// (campaign::TrialFactory), so it lives exactly as long as the worker.
 //
 // If the warm point turns out not to be quiescent (a scenario whose setup
 // leaves events in flight), the runner falls back to per-trial rebuilds:

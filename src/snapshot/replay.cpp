@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "chaos/failpoint.hpp"
 #include "common/base64.hpp"
@@ -294,55 +295,112 @@ std::optional<ReplayBundle> ReplayBundle::load_file(const std::string& path,
   return bundle;
 }
 
-bool known_trial_kind(const std::string& kind) {
-  return kind == "page_blocking_baseline" || kind == "page_blocking_attack" ||
-         kind == "page_blocking_attack_metrics" || kind == "chaos_bonded_cell" ||
-         kind == "fuzz_stack";
-}
+namespace {
 
-std::optional<ReplayOutcome> execute_trial(const std::string& kind, Scenario& s,
-                                           const std::optional<faults::FaultPlan>& plan,
-                                           bool want_trace) {
-  if (!known_trial_kind(kind) || kind == "chaos_bonded_cell" || kind == "fuzz_stack")
-    return std::nullopt;
-  const bool want_metrics = kind == "page_blocking_attack_metrics";
+/// One entry of the trial-kind table: the name a bundle's `trial_kind`
+/// field carries, and how replay re-runs it.
+struct TrialKind {
+  std::string_view name;
+  /// Restores `warm` onto the rebuilt `s` and reseeds it, runs the trial,
+  /// and fills out.result plus the deterministic emits the kind records.
+  /// Returns an error message, empty on success.
+  std::string (*run)(const TrialKind& kind, const ReplayBundle& bundle, Scenario& s,
+                     const Snapshot& warm, bool want_trace, ReplayOutcome& out);
+  bool attack = false;   ///< page-blocking kinds: the attack, not the baseline race
+  bool metrics = false;  ///< page-blocking kinds: record the metrics emit
+};
+
+std::string run_page_blocking(const TrialKind& kind, const ReplayBundle& bundle, Scenario& s,
+                              const Snapshot& warm, bool want_trace, ReplayOutcome& out) {
+  std::string why;
+  if (!warm.restore(*s.sim, &why)) return "recorded snapshot restore failed: " + why;
+  s.sim->reseed(bundle.trial_seed);
 
   // Mirror the recording campaign's trial body order exactly: observability
   // first (so its dispatch counters cover the same window), then the fault
   // plan, then the attack. Tracing is observation-only, so turning it on
   // for --trace-out cannot perturb the verdict or the metrics.
   obs::Observer* obs = nullptr;
-  if (want_metrics || want_trace)
-    obs = &s.sim->enable_observability({.tracing = want_trace, .metrics = want_metrics});
-  if (plan.has_value()) s.sim->set_fault_plan(*plan);
+  if (kind.metrics || want_trace)
+    obs = &s.sim->enable_observability({.tracing = want_trace, .metrics = kind.metrics});
+  if (bundle.fault_plan.has_value()) s.sim->set_fault_plan(*bundle.fault_plan);
 
-  ReplayOutcome out;
-  out.executed = true;
-  if (kind == "page_blocking_baseline") {
-    out.result.success =
-        core::PageBlockingAttack::baseline_trial(*s.sim, *s.attacker, *s.accessory,
-                                                 *s.target);
-  } else {
-    const auto report =
-        core::PageBlockingAttack::run(*s.sim, *s.attacker, *s.accessory, *s.target, {});
-    out.result.success = report.mitm_established;
-  }
+  out.result.success =
+      kind.attack
+          ? core::PageBlockingAttack::run(*s.sim, *s.attacker, *s.accessory, *s.target, {})
+                .mitm_established
+          : core::PageBlockingAttack::baseline_trial(*s.sim, *s.attacker, *s.accessory,
+                                                     *s.target);
   out.result.virtual_end = s.sim->now();
   if (obs != nullptr) {
-    if (want_metrics) {
+    if (kind.metrics) {
       auto metrics = std::make_shared<obs::MetricsSnapshot>(obs->snapshot());
       out.metrics_json = metrics->to_json();
       out.result.metrics = std::move(metrics);
     }
     if (want_trace) out.trace_json = obs->recorder().to_chrome_json();
   }
-  return out;
+  return {};
 }
+
+/// Chaos trials restore under their own armed plan (the snapshot-load
+/// failpoints are part of the explored surface), so run_chaos_trial owns
+/// the restore + reseed.
+std::string run_chaos(const TrialKind&, const ReplayBundle& bundle, Scenario& s,
+                      const Snapshot& warm, bool, ReplayOutcome& out) {
+  std::vector<chaos::FaultSite> faults;
+  if (!chaos::decode_fault_sites(bundle.chaos_faults, faults) || faults.empty())
+    return "chaos trial kind without a valid 'chaos:' fault list";
+  auto plan = chaos::ChaosPlan::inject(std::move(faults));
+  const auto report = run_chaos_trial(s, warm, bundle.trial_seed, plan);
+  out.result.success = report.outcome == ChaosOutcome::kCompleted ||
+                       report.outcome == ChaosOutcome::kRecovered ||
+                       report.outcome == ChaosOutcome::kCleanError;
+  out.result.value = static_cast<double>(static_cast<int>(report.outcome));
+  out.result.virtual_end = report.virtual_end;
+  return {};
+}
+
+/// Fuzz trials own their restore + reseed too: the body is shared with the
+/// fuzz engine's stack target, so a pinned finding replays through the exact
+/// code that found it. Verdict: success = clean execution, value = violation
+/// count.
+std::string run_fuzz_stack(const TrialKind&, const ReplayBundle& bundle, Scenario& s,
+                           const Snapshot& warm, bool, ReplayOutcome& out) {
+  const auto report = run_fuzz_stack_trial(s, warm, bundle.trial_seed, bundle.fuzz_input);
+  out.result.success = !report.finding();
+  out.result.value = static_cast<double>(report.violations.size());
+  out.result.virtual_end = report.virtual_end;
+  return {};
+}
+
+constexpr TrialKind kTrialKinds[] = {
+    {"page_blocking_baseline", run_page_blocking},
+    {"page_blocking_attack", run_page_blocking, /*attack=*/true},
+    {"page_blocking_attack_metrics", run_page_blocking, /*attack=*/true, /*metrics=*/true},
+    {"chaos_bonded_cell", run_chaos},
+    {"fuzz_stack", run_fuzz_stack},
+};
+
+const TrialKind* find_trial_kind(std::string_view name) {
+  for (const TrialKind& kind : kTrialKinds)
+    if (kind.name == name) return &kind;
+  return nullptr;
+}
+
+}  // namespace
+
+bool known_trial_kind(const std::string& kind) { return find_trial_kind(kind) != nullptr; }
 
 ReplayOutcome replay_bundle(const ReplayBundle& bundle, bool want_trace) {
   ReplayOutcome out;
   if (resolve_profile(bundle.scenario) == nullptr) {
     out.error = "scenario references a profile row that does not exist";
+    return out;
+  }
+  const TrialKind* kind = find_trial_kind(bundle.trial_kind);
+  if (kind == nullptr) {
+    out.error = "unknown trial kind '" + bundle.trial_kind + "'";
     return out;
   }
 
@@ -362,9 +420,8 @@ ReplayOutcome replay_bundle(const ReplayBundle& bundle, bool want_trace) {
 
   // Drift check: does today's code still produce the recorded warm bytes?
   std::string why;
-  bool snapshot_matches = false;
   if (const auto rebuilt = Snapshot::capture(*s.sim, &why))
-    snapshot_matches = rebuilt->bytes() == bundle.snapshot;
+    out.snapshot_matches = rebuilt->bytes() == bundle.snapshot;
 
   const auto snap = Snapshot::from_bytes(bundle.snapshot, &why);
   if (!snap) {
@@ -372,63 +429,9 @@ ReplayOutcome replay_bundle(const ReplayBundle& bundle, bool want_trace) {
     return out;
   }
 
-  if (bundle.trial_kind == "chaos_bonded_cell") {
-    // Chaos trials restore under their own armed plan (the snapshot-load
-    // failpoints are part of the explored surface), so run_chaos_trial owns
-    // the restore + reseed here.
-    std::vector<chaos::FaultSite> faults;
-    if (!chaos::decode_fault_sites(bundle.chaos_faults, faults) || faults.empty()) {
-      out.error = "chaos trial kind without a valid 'chaos:' fault list";
-      return out;
-    }
-    auto plan = chaos::ChaosPlan::inject(std::move(faults));
-    const auto report = run_chaos_trial(s, *snap, bundle.trial_seed, plan);
-    out.executed = true;
-    out.result.success = report.outcome == ChaosOutcome::kCompleted ||
-                         report.outcome == ChaosOutcome::kRecovered ||
-                         report.outcome == ChaosOutcome::kCleanError;
-    out.result.value = static_cast<double>(static_cast<int>(report.outcome));
-    out.result.virtual_end = report.virtual_end;
-    out.snapshot_matches = snapshot_matches;
-    out.verdict_matches = out.result.success == bundle.expected_success &&
-                          out.result.value == bundle.expected_value &&
-                          out.result.virtual_end == bundle.expected_virtual_end;
-    out.metrics_match = bundle.expected_metrics_json.empty();
-    return out;
-  }
-
-  if (bundle.trial_kind == "fuzz_stack") {
-    // Fuzz trials own their restore + reseed (the trial body is shared with
-    // the fuzz engine's stack target — a pinned finding replays through the
-    // exact code that found it). Verdict: success = clean execution, value =
-    // violation count.
-    const auto report = run_fuzz_stack_trial(s, *snap, bundle.trial_seed,
-                                             bundle.fuzz_input);
-    out.executed = true;
-    out.result.success = !report.finding();
-    out.result.value = static_cast<double>(report.violations.size());
-    out.result.virtual_end = report.virtual_end;
-    out.snapshot_matches = snapshot_matches;
-    out.verdict_matches = out.result.success == bundle.expected_success &&
-                          out.result.value == bundle.expected_value &&
-                          out.result.virtual_end == bundle.expected_virtual_end;
-    out.metrics_match = bundle.expected_metrics_json.empty();
-    return out;
-  }
-
-  if (!snap->restore(*s.sim, &why)) {
-    out.error = "recorded snapshot restore failed: " + why;
-    return out;
-  }
-  s.sim->reseed(bundle.trial_seed);
-
-  auto exec = execute_trial(bundle.trial_kind, s, bundle.fault_plan, want_trace);
-  if (!exec) {
-    out.error = "unknown trial kind '" + bundle.trial_kind + "'";
-    return out;
-  }
-  out = std::move(*exec);
-  out.snapshot_matches = snapshot_matches;
+  out.error = kind->run(*kind, bundle, s, *snap, want_trace, out);
+  if (!out.error.empty()) return out;
+  out.executed = true;
   out.verdict_matches = out.result.success == bundle.expected_success &&
                         out.result.value == bundle.expected_value &&
                         out.result.virtual_end == bundle.expected_virtual_end;

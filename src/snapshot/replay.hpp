@@ -7,15 +7,15 @@
 //   * the scenario (a ScenarioParams manifest line — which topology),
 //   * the warm snapshot the trial was forked from (base64 BLAPSNAP bytes),
 //   * the trial identity (index, seed) and the fault plan it ran under,
-//   * what the trial did (a trial-kind key into execute_trial()'s registry),
+//   * what the trial did (a key into replay.cpp's table of trial kinds),
 //   * and the recorded verdict: success flag, value, final virtual clock,
 //     and the deterministic metrics JSON when the trial recorded metrics.
 //
-// replay_bundle() re-executes the bundle from scratch — rebuild topology,
-// restore snapshot, reseed, re-install the fault plan, run the trial kind —
-// and diffs every recorded field against the re-run. Because the whole
-// stack is deterministic, any mismatch means the code under test changed,
-// not the weather. The blap-replay tool wraps this with --trace-out to emit
+// replay_bundle() re-executes the bundle from scratch — look up the trial
+// kind, rebuild topology, restore snapshot, reseed, re-install the fault
+// plan, run the kind — and diffs every recorded field against the re-run.
+// Because the whole stack is deterministic, any mismatch means the code
+// under test changed, not the weather. The blap-replay tool wraps this with --trace-out to emit
 // a Perfetto-loadable Chrome trace of the reproduced trial.
 //
 // The format is text-first on purpose: bundles live in the repo as test
@@ -57,7 +57,8 @@ struct ReplayBundle {
   std::uint64_t build_seed = 0;
   std::size_t trial_index = 0;
   std::uint64_t trial_seed = 0;
-  /// Key into execute_trial()'s registry (e.g. "page_blocking_attack").
+  /// Trial kind, one of known_trial_kind()'s names (e.g.
+  /// "page_blocking_attack").
   std::string trial_kind;
   /// Fault plan the trial installed, if any.
   std::optional<faults::FaultPlan> fault_plan;
@@ -139,20 +140,9 @@ struct ReplayOutcome {
 /// change the verdict or the metrics).
 [[nodiscard]] ReplayOutcome replay_bundle(const ReplayBundle& bundle, bool want_trace);
 
-/// True for trial kinds replay_bundle() knows how to run:
-/// "page_blocking_baseline", "page_blocking_attack",
+/// True for trial kinds replay_bundle() knows how to run — the names in its
+/// one trial-kind table: "page_blocking_baseline", "page_blocking_attack",
 /// "page_blocking_attack_metrics", "chaos_bonded_cell", "fuzz_stack".
 [[nodiscard]] bool known_trial_kind(const std::string& kind);
-
-/// Run one trial of `kind` on a scenario already restored+reseeded.
-/// Installs `plan` (when present) exactly as the recording campaign's trial
-/// body did, enables observability as the kind demands (metrics for
-/// *_metrics kinds, tracing when want_trace), and returns the trial result
-/// plus the deterministic emits. Returns nullopt for unknown kinds —
-/// including "chaos_bonded_cell", which needs the warm snapshot and is
-/// executed by replay_bundle() through run_chaos_trial() instead.
-[[nodiscard]] std::optional<ReplayOutcome> execute_trial(
-    const std::string& kind, Scenario& s, const std::optional<faults::FaultPlan>& plan,
-    bool want_trace);
 
 }  // namespace blap::snapshot

@@ -3,10 +3,15 @@
 // deterministic JSON/CSV emits the experiment pipeline depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 #include "core/device.hpp"
@@ -70,6 +75,83 @@ TEST(SplitMix, NearbyRootsYieldDistinctSeeds) {
   for (std::uint64_t root = 0; root < 8; ++root)
     for (std::uint64_t i = 0; i < 64; ++i) seen.insert(trial_seed(root, i));
   EXPECT_EQ(seen.size(), 8u * 64u);
+}
+
+// One parallel_indexed() run over n indices on `jobs` workers, recording
+// what the pool did rather than what the indices compute.
+struct PoolRun {
+  unsigned workers = 0;         // parallel_indexed's return value
+  unsigned made = 0;            // make_worker() calls
+  std::vector<int> runs;        // per-index run count
+  bool foreign_thread = false;  // a callable ran off the thread that made it
+};
+
+PoolRun run_pool(std::size_t n, unsigned jobs) {
+  std::vector<std::atomic<int>> runs(n);
+  std::atomic<unsigned> made{0};
+  std::atomic<bool> foreign{false};
+  PoolRun out;
+  out.workers = parallel_indexed(n, jobs, [&] {
+    ++made;
+    return [&, owner = std::this_thread::get_id()](std::size_t i) {
+      if (std::this_thread::get_id() != owner) foreign = true;
+      ++runs[i];
+    };
+  });
+  out.made = made;
+  out.foreign_thread = foreign;
+  for (const auto& r : runs) out.runs.push_back(r);
+  return out;
+}
+
+template <typename Check>
+void for_each_pool_shape(Check check) {
+  for (const unsigned jobs : {1u, 2u, 8u})
+    for (const std::size_t n : {0u, 1u, 5u, 300u}) {
+      SCOPED_TRACE(::testing::Message() << "jobs=" << jobs << " n=" << n);
+      check(n, jobs, run_pool(n, jobs));
+    }
+}
+
+TEST(ParallelIndexed, RunsEveryIndexExactlyOnce) {
+  for_each_pool_shape([](std::size_t n, unsigned, const PoolRun& run) {
+    EXPECT_EQ(run.runs, std::vector<int>(n, 1));
+  });
+}
+
+TEST(ParallelIndexed, ReturnsWorkerCount) {
+  for_each_pool_shape([](std::size_t n, unsigned jobs, const PoolRun& run) {
+    EXPECT_EQ(run.workers, std::max<std::size_t>(1, std::min<std::size_t>(jobs, n)));
+  });
+}
+
+TEST(ParallelIndexed, MakesOneCallablePerWorker) {
+  for_each_pool_shape([](std::size_t, unsigned, const PoolRun& run) {
+    EXPECT_EQ(run.made, run.workers);
+  });
+}
+
+TEST(ParallelIndexed, CallableRunsOnlyOnTheThreadThatMadeIt) {
+  for_each_pool_shape([](std::size_t, unsigned, const PoolRun& run) {
+    EXPECT_FALSE(run.foreign_thread);
+  });
+}
+
+TEST(ParallelIndexed, RethrowsAWorkerExceptionAfterEveryWorkerJoins) {
+  for (const unsigned jobs : {1u, 8u}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(parallel_indexed(300, jobs,
+                                  [&] {
+                                    return [&](std::size_t i) {
+                                      ++ran;
+                                      if (i == 17) throw std::runtime_error("trial 17");
+                                    };
+                                  }),
+                 std::runtime_error)
+        << "jobs=" << jobs;
+    // Only the throwing worker stops; with one worker that is all of them.
+    EXPECT_EQ(ran.load(), jobs == 1 ? 18 : 300) << "jobs=" << jobs;
+  }
 }
 
 TEST(Wilson, MatchesKnownValues) {

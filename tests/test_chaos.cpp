@@ -196,5 +196,19 @@ TEST(ChaosCampaign, BaselineIsCleanAndCoversTheStack) {
   }
 }
 
+// Violation details are free text from the monitor; the report must stay
+// valid JSON whatever bytes they carry.
+TEST(ChaosCampaign, ReportJsonEscapesControlCharacters) {
+  campaign::ChaosCampaignReport report;
+  campaign::ChaosTrialRecord rec;
+  rec.outcome = snapshot::ChaosOutcome::kViolation;
+  rec.violations.push_back({"link-table-agreement", "host\tacl\r\x01", 0});
+  report.trials.push_back(rec);
+
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find(R"("link-table-agreement: host\tacl\r\u0001")"), std::string::npos)
+      << json;
+}
+
 }  // namespace
 }  // namespace blap

@@ -225,8 +225,11 @@ TEST_F(RadioScaleTest, IndexedPageMatchesLinearReferenceDraws) {
   EXPECT_EQ(actual_draws, expected_draws);
   ASSERT_NE(expected_winner, nullptr);
   ASSERT_EQ(expected_winner->links.size(), 1u);
-  for (FakeEndpoint* c : candidates)
-    if (c != expected_winner) EXPECT_TRUE(c->links.empty());
+  for (FakeEndpoint* c : candidates) {
+    if (c != expected_winner) {
+      EXPECT_TRUE(c->links.empty());
+    }
+  }
 }
 
 // page() and start_inquiry() re-read the live scan bits on the candidate
@@ -322,28 +325,28 @@ TEST_F(RadioScaleTest, BatchedAndUnbatchedInquiriesDeliverIdentically) {
   };
   auto run_with_threshold = [](std::size_t threshold) {
     Run run;
-    Scheduler sched;
-    RadioMedium medium(sched, Rng(11));
-    medium.set_inquiry_batch_threshold(threshold);
+    Scheduler own_sched;
+    RadioMedium own_medium(own_sched, Rng(11));
+    own_medium.set_inquiry_batch_threshold(threshold);
     FakeEndpoint requester(*BdAddr::parse("00:00:00:00:00:01"), kSecond);
-    medium.attach(&requester);
+    own_medium.attach(&requester);
     std::vector<std::unique_ptr<FakeEndpoint>> crowd;
     for (std::uint32_t i = 0; i < 40; ++i) {
       crowd.push_back(std::make_unique<FakeEndpoint>(filler_address(i), kSecond));
-      medium.attach(crowd.back().get());
+      own_medium.attach(crowd.back().get());
     }
     // A short window concentrates responses into shared instants, which is
     // the case the cursor's same-instant grouping has to get right.
-    medium.start_inquiry(&requester, 20,
-                         [&](const InquiryResponse& r) {
-                           run.seen.emplace_back(sched.now(), r.address);
-                         },
-                         [&] { run.completed_at = sched.now(); });
-    sched.run_all();
+    own_medium.start_inquiry(&requester, 20,
+                             [&](const InquiryResponse& r) {
+                               run.seen.emplace_back(own_sched.now(), r.address);
+                             },
+                             [&] { run.completed_at = own_sched.now(); });
+    own_sched.run_all();
     // The medium Rng must land in the same state either way: one more page
     // consumes the next draw, observable as the sampled latency.
-    medium.page(&requester, crowd[0]->addr_, 5 * kSecond, nullptr);
-    sched.run_all();
+    own_medium.page(&requester, crowd[0]->addr_, 5 * kSecond, nullptr);
+    own_sched.run_all();
     run.follow_up_draw = crowd[0]->sampled_values.at(0);
     return run;
   };
