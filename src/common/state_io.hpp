@@ -12,11 +12,18 @@
 //
 // Error model: no exceptions. A reader that runs out of bytes or hits a tag
 // mismatch sets a sticky failure flag and every subsequent read returns a
-// zero value; callers check ok() once at the end of a load. Writers cannot
-// fail.
+// zero value; callers check ok() once at the end of a load. The first
+// failure's message sticks, and the reader's own failures name the byte
+// offset they were found at. Writers cannot fail.
+//
+// Restore cost: a fork restores the same snapshot onto the same simulation
+// many times, so the reader does one bounds check per value, and str(),
+// bytes(), read_vector() and read_map() overwrite the storage a component
+// already holds instead of building new storage.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -119,23 +126,13 @@ class StateReader {
   }
   [[nodiscard]] const std::string& error() const { return error_; }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
+  /// Bytes consumed so far, i.e. the offset the next read starts at.
+  [[nodiscard]] std::size_t offset() const { return pos_; }
 
-  std::uint8_t u8() {
-    if (!need(1)) return 0;
-    return data_[pos_++];
-  }
-  std::uint16_t u16() {
-    const auto lo = u8();
-    return static_cast<std::uint16_t>(lo | (static_cast<std::uint16_t>(u8()) << 8));
-  }
-  std::uint32_t u32() {
-    const auto lo = u16();
-    return lo | (static_cast<std::uint32_t>(u16()) << 16);
-  }
-  std::uint64_t u64() {
-    const auto lo = u32();
-    return lo | (static_cast<std::uint64_t>(u32()) << 32);
-  }
+  std::uint8_t u8() { return le<std::uint8_t>(); }
+  std::uint16_t u16() { return le<std::uint16_t>(); }
+  std::uint32_t u32() { return le<std::uint32_t>(); }
+  std::uint64_t u64() { return le<std::uint64_t>(); }
   bool boolean() { return u8() != 0; }
   double f64() {
     const std::uint64_t bits = u64();
@@ -143,17 +140,16 @@ class StateReader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
-  Bytes bytes() {
-    const std::uint64_t n = u64();
-    if (!need(n)) return {};
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += static_cast<std::size_t>(n);
-    return out;
+  /// Length-prefixed byte strings overwrite `out`, reusing its capacity, so
+  /// a restore onto live state allocates only where a value outgrows what
+  /// it replaces. `out` is cleared on failure.
+  void bytes(Bytes& out) {
+    const BytesView v = counted();
+    out.assign(v.begin(), v.end());
   }
-  std::string str() {
-    const Bytes raw = bytes();
-    return {raw.begin(), raw.end()};
+  void str(std::string& out) {
+    const BytesView v = counted();
+    out.assign(reinterpret_cast<const char*>(v.data()), v.size());
   }
   template <std::size_t N>
   std::array<std::uint8_t, N> fixed() {
@@ -162,6 +158,42 @@ class StateReader {
     std::memcpy(out.data(), data_.data() + pos_, N);
     pos_ += N;
     return out;
+  }
+
+  /// Refill a sequence container from a u64 count and that many elements.
+  /// `read_one(element)` decodes onto the element already at that position
+  /// (reusing its storage) or onto a default-constructed one appended, so
+  /// it must assign every field a fresh element would hold. The container
+  /// grows one element per read and is cut to the decoded length at the
+  /// end; it is never reserved from the count, which is untrusted input.
+  template <typename Seq, typename ReadOne>
+  void read_vector(Seq& out, ReadOne&& read_one) {
+    const std::uint64_t count = u64();
+    std::size_t n = 0;
+    for (; n < count && ok(); ++n) {
+      if (n == out.size()) out.emplace_back();
+      read_one(out[n]);
+    }
+    out.erase(out.begin() + static_cast<std::ptrdiff_t>(n), out.end());
+  }
+
+  /// Refill an ordered map the same way, reusing its nodes in key order:
+  /// `read_one(key, value)` decodes into a node extracted from the old
+  /// contents, or a default one once they run out. A duplicate key keeps
+  /// the first value (emplace) or, with `last_wins`, the last (operator[]).
+  template <typename Map, typename ReadOne>
+  void read_map(Map& out, bool last_wins, ReadOne&& read_one) {
+    Map spare;
+    spare.swap(out);
+    const std::uint64_t count = u64();
+    for (std::uint64_t i = 0; i < count && ok(); ++i) {
+      if (spare.empty()) spare.try_emplace(typename Map::key_type{});
+      auto node = spare.extract(spare.begin());
+      read_one(node.key(), node.mapped());
+      auto placed = out.insert(std::move(node));
+      if (!placed.inserted && last_wins)
+        placed.position->second = std::move(placed.node.mapped());
+    }
   }
 
   /// Skip `n` raw bytes (structural validation walks that hop over section
@@ -174,15 +206,17 @@ class StateReader {
   /// Read a section header and verify the tag. Returns the payload length
   /// (0 on failure). On tag mismatch the reader fails sticky.
   std::uint64_t expect_section(std::uint32_t section_tag) {
+    const std::size_t at = pos_;
     const std::uint32_t got = u32();
     const std::uint64_t len = u64();
     if (failed_) return 0;
     if (got != section_tag) {
-      fail("section tag mismatch");
+      fail("section tag mismatch at offset " + std::to_string(at));
       return 0;
     }
     if (!check(len)) {
-      fail("section length exceeds input");
+      fail("section length exceeds input at offset " + std::to_string(at) + " (length " +
+           std::to_string(len) + ", " + std::to_string(remaining()) + " left)");
       return 0;
     }
     return len;
@@ -191,11 +225,35 @@ class StateReader {
  private:
   [[nodiscard]] bool check(std::uint64_t n) const { return n <= data_.size() - pos_; }
   bool need(std::uint64_t n) {
-    if (failed_ || !check(n)) {
-      fail("input truncated");
+    if (failed_) return false;
+    if (!check(n)) {
+      fail("input truncated at offset " + std::to_string(pos_) + " (need " +
+           std::to_string(n) + ", " + std::to_string(remaining()) + " left)");
       return false;
     }
     return true;
+  }
+  /// One bounds check per value, then a little-endian load.
+  template <typename T>
+  T le() {
+    if (!need(sizeof(T))) return 0;
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, data_.data() + pos_, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        v = static_cast<T>(v | (static_cast<T>(data_[pos_ + i]) << (8 * i)));
+    }
+    pos_ += sizeof(T);
+    return v;
+  }
+  /// The next length-prefixed byte run, viewed in place; empty on failure.
+  BytesView counted() {
+    const std::uint64_t n = u64();
+    if (!need(n)) return {};
+    const BytesView v = data_.subspan(pos_, static_cast<std::size_t>(n));
+    pos_ += v.size();
+    return v;
   }
 
   BytesView data_;

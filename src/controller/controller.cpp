@@ -1869,7 +1869,7 @@ void Controller::save_state(state::StateWriter& w) const {
 void Controller::load_state(state::StateReader& r, state::RestoreMode mode) {
   config_.address = BdAddr(r.fixed<BdAddr::kSize>());
   config_.class_of_device = ClassOfDevice(r.u32());
-  config_.name = r.str();
+  r.str(config_.name);
   config_.secure_connections = r.boolean();
   config_.page_scan_interval = r.u64();
   config_.page_timeout = r.u64();
@@ -1930,7 +1930,7 @@ void Controller::load_state(state::StateReader& r, state::RestoreMode mode) {
       ssp->dhkey = load_u256(r);
       ssp->have_dhkey = r.boolean();
       ssp->local_confirmed = r.boolean();
-      ssp->held_dhkey_check = r.bytes();
+      r.bytes(ssp->held_dhkey_check);
       link.ssp = std::move(ssp);
     }
 
@@ -1951,9 +1951,7 @@ void Controller::load_state(state::StateReader& r, state::RestoreMode mode) {
     link.pending_en_rand = r.fixed<std::tuple_size_v<crypto::Rand128>>();
     link.tx_counter = r.u32();
     link.rx_counter = r.u32();
-    const std::uint64_t queued = r.u64();
-    for (std::uint64_t f = 0; f < queued && r.ok(); ++f)
-      link.tx_queue.push_back(r.bytes());
+    r.read_vector(link.tx_queue, [&r](Bytes& frame) { r.bytes(frame); });
     link.tx_busy = r.boolean();
     link.obs_auth_span = r.u64();
     link.obs_pair_span = r.u64();

@@ -97,13 +97,10 @@ FaultPlan FaultPlan::load_state(state::StateReader& r) {
   plan.p_exit_burst = r.f64();
   plan.burst_loss = r.f64();
   plan.corruption = r.f64();
-  const std::uint64_t windows = r.u64();
-  for (std::uint64_t i = 0; i < windows && r.ok(); ++i) {
-    JamWindow window;
+  r.read_vector(plan.jam_windows, [&r](JamWindow& window) {
     window.begin = r.u64();
     window.end = r.u64();
-    plan.jam_windows.push_back(window);
-  }
+  });
   return plan;
 }
 

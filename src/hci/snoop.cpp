@@ -250,17 +250,13 @@ void SnoopLog::save_state(state::StateWriter& w) const {
 void SnoopLog::load_state(state::StateReader& r, state::RestoreMode mode) {
   const bool had_filter = r.boolean();
   if (mode == state::RestoreMode::kRewind && !had_filter) filter_ = nullptr;
-  records_.clear();
-  const std::uint64_t count = r.u64();
-  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-    SnoopRecord record;
+  r.read_vector(records_, [&r](SnoopRecord& record) {
     record.timestamp_us = r.u64();
     record.direction = static_cast<Direction>(r.u8());
     record.packet.type = static_cast<PacketType>(r.u8());
-    record.packet.payload = r.bytes();
+    r.bytes(record.packet.payload);
     record.original_length = r.u32();
-    records_.push_back(std::move(record));
-  }
+  });
 }
 
 }  // namespace blap::hci

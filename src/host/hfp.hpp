@@ -74,17 +74,11 @@ class HfpProfile {
   void load_state(state::StateReader& r) {
     call_active_ = r.boolean();
     tx_sequence_ = r.u16();
-    received_.clear();
-    const std::uint64_t frames = r.u64();
-    for (std::uint64_t i = 0; i < frames && r.ok(); ++i) {
-      AudioFrame frame;
+    r.read_vector(received_, [&r](AudioFrame& frame) {
       frame.sequence = r.u16();
-      frame.samples = r.bytes();
-      received_.push_back(std::move(frame));
-    }
-    at_log_.clear();
-    const std::uint64_t lines = r.u64();
-    for (std::uint64_t i = 0; i < lines && r.ok(); ++i) at_log_.push_back(r.str());
+      r.bytes(frame.samples);
+    });
+    r.read_vector(at_log_, [&r](std::string& line) { r.str(line); });
   }
 
  private:

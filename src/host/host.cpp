@@ -1199,7 +1199,7 @@ void HostStack::save_state(state::StateWriter& w) const {
 }
 
 void HostStack::load_state(state::StateReader& r, state::RestoreMode mode) {
-  config_.device_name = r.str();
+  r.str(config_.device_name);
   config_.version = static_cast<BtVersion>(r.u8());
   config_.io_capability = static_cast<hci::IoCapability>(r.u8());
   config_.auth_requirements = r.u8();
@@ -1207,7 +1207,7 @@ void HostStack::load_state(state::StateReader& r, state::RestoreMode mode) {
   config_.acl_idle_timeout = r.u64();
   config_.hci_dump_available = r.boolean();
   config_.detect_page_blocking = r.boolean();
-  config_.pin_code = r.str();
+  r.str(config_.pin_code);
   config_.simple_pairing = r.boolean();
   config_.fault_recovery = r.boolean();
   config_.pair_op_watchdog = r.u64();
@@ -1225,17 +1225,13 @@ void HostStack::load_state(state::StateReader& r, state::RestoreMode mode) {
   hfp_.load_state(r);
   map_.load_state(r);
 
-  hfp_channels_.clear();
-  const std::uint64_t hfp_count = r.u64();
-  for (std::uint64_t i = 0; i < hfp_count && r.ok(); ++i) {
-    const BdAddr peer(r.fixed<BdAddr::kSize>());
-    L2capChannel channel;
+  r.read_map(hfp_channels_, /*last_wins=*/false, [&r](BdAddr& peer, L2capChannel& channel) {
+    peer = BdAddr(r.fixed<BdAddr::kSize>());
     channel.acl_handle = r.u16();
     channel.local_cid = r.u16();
     channel.remote_cid = r.u16();
     channel.psm = r.u16();
-    hfp_channels_.emplace(peer, channel);
-  }
+  });
 
   map_read_.reset();
   if (r.boolean()) {
@@ -1244,13 +1240,9 @@ void HostStack::load_state(state::StateReader& r, state::RestoreMode mode) {
     read.channel.local_cid = r.u16();
     read.channel.remote_cid = r.u16();
     read.channel.psm = r.u16();
-    const std::uint64_t handle_count = r.u64();
-    for (std::uint64_t i = 0; i < handle_count && r.ok(); ++i)
-      read.handles.push_back(r.u16());
+    r.read_vector(read.handles, [&r](std::uint16_t& handle) { handle = r.u16(); });
     read.next_index = static_cast<std::size_t>(r.u64());
-    const std::uint64_t body_count = r.u64();
-    for (std::uint64_t i = 0; i < body_count && r.ok(); ++i)
-      read.bodies.push_back(r.str());
+    r.read_vector(read.bodies, [&r](std::string& body) { r.str(body); });
     map_read_ = std::move(read);
   }
 
@@ -1282,48 +1274,35 @@ void HostStack::load_state(state::StateReader& r, state::RestoreMode mode) {
   if (r.ok()) acls_ = std::move(restored);
 
   detected_page_blocking_count_ = static_cast<int>(r.u32());
-  discovery_results_.clear();
-  const std::uint64_t discovered = r.u64();
-  for (std::uint64_t i = 0; i < discovered && r.ok(); ++i) {
-    Discovered found;
+  r.read_vector(discovery_results_, [&r](Discovered& found) {
     found.address = BdAddr(r.fixed<BdAddr::kSize>());
     found.class_of_device = ClassOfDevice(r.u32());
-    found.name = r.str();
+    r.str(found.name);
     found.rssi = static_cast<std::int8_t>(r.u8());
-    discovery_results_.push_back(std::move(found));
-  }
+  });
 
   ploc_active_ = r.boolean();
-  ploc_queue_.clear();
-  const std::uint64_t queued = r.u64();
-  for (std::uint64_t i = 0; i < queued && r.ok(); ++i) {
-    hci::HciPacket packet;
+  r.read_vector(ploc_queue_, [&r](hci::HciPacket& packet) {
     packet.type = static_cast<hci::PacketType>(r.u8());
-    packet.payload = r.bytes();
-    ploc_queue_.push_back(std::move(packet));
-  }
+    r.bytes(packet.payload);
+  });
 
   snoop_enabled_ = r.boolean();
   snoop_.load_state(r, mode);
 
   ignored_link_key_requests_ = static_cast<int>(r.u32());
-  popups_.clear();
-  const std::uint64_t popup_count = r.u64();
-  for (std::uint64_t i = 0; i < popup_count && r.ok(); ++i) {
-    PopupRecord popup;
+  r.read_vector(popups_, [&r](PopupRecord& popup) {
     popup.peer = BdAddr(r.fixed<BdAddr::kSize>());
     popup.shown_to_user = r.boolean();
+    popup.numeric_value.reset();
     if (r.boolean()) popup.numeric_value = r.u32();
     popup.accepted = r.boolean();
     popup.at = r.u64();
-    popups_.push_back(popup);
-  }
-  pairing_events_.clear();
-  const std::uint64_t event_count = r.u64();
-  for (std::uint64_t i = 0; i < event_count && r.ok(); ++i) {
-    const BdAddr peer(r.fixed<BdAddr::kSize>());
-    pairing_events_.emplace_back(peer, r.boolean());
-  }
+  });
+  r.read_vector(pairing_events_, [&r](std::pair<BdAddr, bool>& event) {
+    event.first = BdAddr(r.fixed<BdAddr::kSize>());
+    event.second = r.boolean();
+  });
 
   if (mode == state::RestoreMode::kRewind) {
     // Callback-holding residue from the aborted trial: a strict capture

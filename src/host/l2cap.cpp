@@ -187,16 +187,13 @@ void L2cap::save_state(state::StateWriter& w) const {
 }
 
 void L2cap::load_state(state::StateReader& r, state::RestoreMode mode) {
-  channels_.clear();
-  const std::uint64_t channel_count = r.u64();
-  for (std::uint64_t i = 0; i < channel_count && r.ok(); ++i) {
-    L2capChannel channel;
+  r.read_map(channels_, /*last_wins=*/false, [&r](auto& key, L2capChannel& channel) {
     channel.acl_handle = r.u16();
     channel.local_cid = r.u16();
     channel.remote_cid = r.u16();
     channel.psm = r.u16();
-    channels_.emplace(std::make_pair(channel.acl_handle, channel.local_cid), channel);
-  }
+    key = {channel.acl_handle, channel.local_cid};
+  });
   next_cid_ = r.u16();
   next_id_ = r.u8();
   if (mode == state::RestoreMode::kRewind) {

@@ -74,12 +74,10 @@ class MapProfile {
     w.u32(static_cast<std::uint32_t>(serves_));
   }
   void load_state(state::StateReader& r) {
-    messages_.clear();
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-      const std::uint16_t handle = r.u16();
-      messages_[handle] = r.str();
-    }
+    r.read_map(messages_, /*last_wins=*/true, [&r](std::uint16_t& handle, std::string& body) {
+      handle = r.u16();
+      r.str(body);
+    });
     serves_ = static_cast<int>(r.u32());
   }
 

@@ -59,9 +59,7 @@ class PbapProfile {
     w.u32(static_cast<std::uint32_t>(serves_));
   }
   void load_state(state::StateReader& r) {
-    phonebook_.clear();
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) phonebook_.push_back(r.str());
+    r.read_vector(phonebook_, [&r](std::string& entry) { r.str(entry); });
     serves_ = static_cast<int>(r.u32());
   }
 

@@ -39,9 +39,7 @@ class SdpServer {
     for (const std::uint16_t uuid16 : services_) w.u16(uuid16);
   }
   void load_state(state::StateReader& r) {
-    services_.clear();
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) services_.push_back(r.u16());
+    r.read_vector(services_, [&r](std::uint16_t& uuid16) { uuid16 = r.u16(); });
   }
 
  private:

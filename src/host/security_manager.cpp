@@ -181,25 +181,18 @@ void SecurityManager::save_state(state::StateWriter& w) const {
 }
 
 void SecurityManager::load_state(state::StateReader& r) {
-  bonds_.clear();
-  const std::uint64_t bond_count = r.u64();
-  for (std::uint64_t i = 0; i < bond_count && r.ok(); ++i) {
-    BondRecord bond;
-    bond.address = BdAddr(r.fixed<BdAddr::kSize>());
-    bond.name = r.str();
+  r.read_map(bonds_, /*last_wins=*/false, [&r](BdAddr& address, BondRecord& bond) {
+    address = BdAddr(r.fixed<BdAddr::kSize>());
+    bond.address = address;
+    r.str(bond.name);
     bond.link_key = r.fixed<std::tuple_size_v<crypto::LinkKey>>();
     bond.key_type = static_cast<crypto::LinkKeyType>(r.u8());
-    const std::uint64_t service_count = r.u64();
-    for (std::uint64_t s = 0; s < service_count && r.ok(); ++s)
-      bond.services.push_back(Uuid(r.fixed<Uuid::kSize>()));
-    bonds_.emplace(bond.address, std::move(bond));
-  }
-  failed_attempts_.clear();
-  const std::uint64_t failure_count = r.u64();
-  for (std::uint64_t i = 0; i < failure_count && r.ok(); ++i) {
-    const BdAddr address(r.fixed<BdAddr::kSize>());
-    failed_attempts_[address] = r.u32();
-  }
+    r.read_vector(bond.services, [&r](Uuid& service) { service = Uuid(r.fixed<Uuid::kSize>()); });
+  });
+  r.read_map(failed_attempts_, /*last_wins=*/true, [&r](BdAddr& address, unsigned& attempts) {
+    address = BdAddr(r.fixed<BdAddr::kSize>());
+    attempts = r.u32();
+  });
   retry_policy_.max_attempts = r.u32();
   retry_policy_.initial_backoff = r.u64();
 }

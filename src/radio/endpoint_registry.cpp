@@ -1,5 +1,7 @@
 #include "radio/endpoint_registry.hpp"
 
+#include <algorithm>
+
 #include "radio/radio_medium.hpp"
 
 namespace blap::radio {
@@ -64,8 +66,13 @@ void EndpointRegistry::detach(RadioEndpoint* endpoint) {
 void EndpointRegistry::refresh(RadioEndpoint* endpoint) {
   const auto it = slot_of_.find(endpoint);
   if (it == slot_of_.end()) return;
-  unindex_slot(it->second);
-  index_slot(it->second);
+  const std::uint32_t slot = it->second;
+  if (addresses_[slot] == endpoint->radio_address() &&
+      inquiry_scan_[slot] == (endpoint->inquiry_scan_enabled() ? 1 : 0) &&
+      page_scan_[slot] == (endpoint->page_scan_enabled() ? 1 : 0))
+    return;
+  unindex_slot(slot);
+  index_slot(slot);
 }
 
 EndpointHandle EndpointRegistry::handle_of(const RadioEndpoint* endpoint) const {
@@ -81,6 +88,18 @@ BdAddr EndpointRegistry::address_of(const RadioEndpoint* endpoint) const {
 }
 
 void EndpointRegistry::load(const std::vector<RadioEndpoint*>& in_order) {
+  // The restored list is the current attach order (every fork restore onto
+  // the simulation the snapshot came from): re-sequencing would only shift
+  // each attach seq by one constant, so keep the indexes and re-read what
+  // index_slot() would have.
+  if (std::equal(in_order.begin(), in_order.end(), by_attach_order_.begin(),
+                 by_attach_order_.end(),
+                 [this](const RadioEndpoint* endpoint, const auto& entry) {
+                   return endpoints_[entry.second] == endpoint;
+                 })) {
+    for (RadioEndpoint* endpoint : in_order) refresh(endpoint);
+    return;
+  }
   // Retire every attachment that is not in the restored set. Endpoints that
   // stay keep slot and generation: an in-place restore happens at the
   // capture instant with frames possibly still in flight, and the handles

@@ -81,7 +81,8 @@ class EndpointRegistry {
   void detach(RadioEndpoint* endpoint);
 
   /// Re-read `endpoint`'s address and scan bits and update the indexes.
-  /// No-op if not attached. Attach seq (and so iteration position) is kept.
+  /// No-op if not attached, or if neither the address nor a scan bit moved.
+  /// Attach seq (and so iteration position) is kept.
   void refresh(RadioEndpoint* endpoint);
 
   /// Rebuild the attachment set from `in_order` (snapshot restore).
@@ -89,6 +90,8 @@ class EndpointRegistry {
   /// in-place restore must not invalidate handles captured by events that
   /// are still queued — but every endpoint is re-sequenced to its position
   /// in `in_order`, so iteration order afterwards matches the snapshot.
+  /// When `in_order` already is the attach order, the indexes are kept and
+  /// each endpoint is only refresh()ed.
   void load(const std::vector<RadioEndpoint*>& in_order);
 
   [[nodiscard]] bool contains(const RadioEndpoint* endpoint) const {

@@ -504,7 +504,8 @@ void RadioMedium::load_state(state::StateReader& r,
 
   const std::uint64_t attached = r.u64();
   std::vector<RadioEndpoint*> in_order;
-  in_order.reserve(static_cast<std::size_t>(attached));
+  // Bounded by the roster, not by the decoded count (untrusted bytes).
+  in_order.reserve(std::min<std::size_t>(roster.size(), static_cast<std::size_t>(attached)));
   for (std::uint64_t i = 0; i < attached && r.ok(); ++i) {
     RadioEndpoint* endpoint = endpoint_at(r.u64());
     if (endpoint != nullptr) in_order.push_back(endpoint);

@@ -128,8 +128,9 @@ bool Snapshot::apply(core::Simulation& sim, state::RestoreMode mode, std::string
                      " device(s), simulation has " + std::to_string(sim.devices().size()));
     return false;
   }
+  std::string name;
   for (std::uint64_t i = 0; r.ok() && i < device_count; ++i) {
-    const std::string name = r.str();
+    r.str(name);
     const auto kind = static_cast<core::TransportKind>(r.u8());
     if (!r.ok()) break;
     const auto& spec = sim.devices()[i]->spec();
@@ -203,13 +204,14 @@ std::optional<Snapshot> Snapshot::from_bytes(Bytes data, std::string* why) {
   r.skip(8 + 4 * 8);  // next_seq + rng state
   const std::uint64_t device_count = r.u64();
   for (std::uint64_t i = 0; r.ok() && i < device_count; ++i) {
-    (void)r.str();  // device name
+    r.skip(r.u64());  // device name
     (void)r.u8();   // transport kind
   }
   r.skip(r.expect_section(kMediumTag));
   for (std::uint64_t i = 0; r.ok() && i < device_count; ++i)
     r.skip(r.expect_section(kDeviceTag));
-  if (r.ok() && r.remaining() != 0) r.fail("trailing bytes after final section");
+  if (r.ok() && r.remaining() != 0)
+    r.fail("trailing bytes after final section at offset " + std::to_string(r.offset()));
   if (!r.ok()) {
     set_why(why, r.error());
     return std::nullopt;

@@ -32,7 +32,15 @@
 // and the topology fingerprint (device count, names, transport kinds) are
 // all checked first, so a mismatched snapshot leaves the simulation
 // untouched. A structurally corrupt byte string is rejected earlier, in
-// from_bytes()/load_file().
+// from_bytes()/load_file(), which checks the section framing but not what
+// the sections hold. A failure once the commit has begun (the
+// snapshot.load.truncated failpoint, or malformed section contents) leaves
+// a half-restored simulation that callers abandon or restore over.
+//
+// Restore refills the storage the simulation already holds (see
+// common/state_io.hpp), so restoring the same snapshot onto the same
+// simulation again allocates only the endpoint roster and the medium's
+// attachment list.
 #pragma once
 
 #include <optional>
@@ -67,8 +75,9 @@ class Snapshot {
   /// Fork restore (strict snapshots only): rewind the scheduler, reload
   /// every component in RestoreMode::kRewind, and reset the observer if
   /// one is attached. `sim` must have the same topology the snapshot was
-  /// captured from. On a validation failure the simulation is untouched
-  /// and `*why` explains; returns true on success.
+  /// captured from. On a header or topology refusal the simulation is
+  /// untouched; a failure mid-commit leaves it half-restored. Either way
+  /// `*why` explains; returns true on success.
   bool restore(core::Simulation& sim, std::string* why = nullptr) const;
 
   /// Round-trip restore onto the simulation the snapshot was captured

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -459,6 +460,54 @@ TEST_F(RadioScaleTest, SaveLoadRoundTripsThroughTheIndex) {
                [&](std::optional<LinkId> id) { connected = id.has_value(); });
   sched2.run_all();
   EXPECT_TRUE(connected);
+}
+
+TEST(EndpointRegistryLoad, UnchangedOrderEqualsFullRebuild) {
+  // Spoofed duplicates, mixed scan bits, and endpoints changed behind the
+  // registry's back: a load re-reads every endpoint's address and scan bits
+  // whether it keeps the indexes or rebuilds them.
+  const BdAddr a = filler_address(1), b = filler_address(2), c = filler_address(3);
+  std::vector<std::unique_ptr<FakeEndpoint>> endpoints;
+  for (const BdAddr& addr : {a, b, a, c, b, c})
+    endpoints.push_back(std::make_unique<FakeEndpoint>(addr, 100));
+  endpoints[2]->inquiry_scan_ = false;
+  endpoints[4]->page_scan_ = false;
+  std::vector<RadioEndpoint*> order;
+  for (const auto& endpoint : endpoints) order.push_back(endpoint.get());
+
+  EndpointRegistry kept;
+  EndpointRegistry rebuilt;
+  for (RadioEndpoint* endpoint : order) {
+    kept.attach(endpoint);
+    rebuilt.attach(endpoint);
+  }
+  endpoints[1]->inquiry_scan_ = false;  // no notify
+  endpoints[5]->addr_ = a;              // spoofed, no notify
+  kept.load(order);
+  const std::vector<RadioEndpoint*> reversed(order.rbegin(), order.rend());
+  rebuilt.load(reversed);  // a different order forces the full rebuild,
+  rebuilt.load(order);     // and so does going back to the original one
+
+  struct View {
+    std::vector<const RadioEndpoint*> attached;
+    std::vector<std::tuple<const RadioEndpoint*, std::uint32_t, std::uint32_t>> candidates;
+    std::vector<const RadioEndpoint*> scanners;
+    bool operator==(const View&) const = default;
+  };
+  const auto view = [&](const EndpointRegistry& registry) {
+    View v;
+    registry.for_each_attached([&](const RadioEndpoint* e) { v.attached.push_back(e); });
+    for (const BdAddr& addr : {a, b, c}) {
+      registry.for_each_candidate(addr, [&](const RadioEndpoint* e, EndpointHandle h) {
+        v.candidates.emplace_back(e, h.slot, h.generation);
+      });
+    }
+    registry.for_each_inquiry_scanner([&](const RadioEndpoint* e) { v.scanners.push_back(e); });
+    return v;
+  };
+  EXPECT_EQ(view(kept), view(rebuilt));
+  EXPECT_EQ(kept.size(), order.size());
+  EXPECT_EQ(kept.inquiry_scanner_count(), 4u);
 }
 
 }  // namespace
