@@ -35,7 +35,7 @@ int main() {
                                                     *attacked.accessory, *attacked.target, {});
 
   banner("FIG. 12b — HCI dump for pairing under page blocking attack (victim M)");
-  std::printf("%s\n", report.m_flow_table.c_str());
+  std::printf("%s\n", attacked.target->host().snoop().format_table().c_str());
   std::printf("classification: %s\n", to_string(report.m_flow));
 
   const bool ok = flow_a.flow == core::PairingFlow::kNormal &&

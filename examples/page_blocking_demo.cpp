@@ -50,7 +50,7 @@ int main() {
               report.attacker_holds_link_key ? '+' : '-');
 
   std::printf("\nVictim's HCI dump (Fig. 12b pattern — %s):\n%s\n",
-              to_string(report.m_flow), report.m_flow_table.c_str());
+              to_string(report.m_flow), target.host().snoop().format_table().c_str());
 
   return report.mitm_established ? 0 : 1;
 }

@@ -99,8 +99,7 @@ int export_trace(const blap::hci::SnoopLog& log, const std::string& out_path) {
     ++index;
   }
   for (const auto& key : core::extract_link_keys(log)) {
-    const auto& record = log.records()[key.frame_index];
-    recorder.instant(record.timestamp_us, keys, obs::Layer::kAttack, "plaintext_link_key",
+    recorder.instant(key.timestamp_us, keys, obs::Layer::kAttack, "plaintext_link_key",
                      strfmt("frame %zu (%s): peer %s", key.frame_index, to_string(key.source),
                             key.peer.to_string().c_str()));
   }

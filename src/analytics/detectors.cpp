@@ -16,6 +16,7 @@
 
 #include "common/log.hpp"
 #include "hci/constants.hpp"
+#include "hci/packets.hpp"
 
 namespace blap::analytics {
 
@@ -25,7 +26,6 @@ using hci::ev::kAuthenticationComplete;
 using hci::ev::kConnectionComplete;
 using hci::ev::kConnectionRequest;
 using hci::ev::kIoCapabilityResponse;
-using hci::ev::kLinkKeyNotification;
 using hci::ev::kPinCodeRequest;
 using hci::ev::kReturnLinkKeys;
 using hci::ev::kSimplePairingComplete;
@@ -58,27 +58,19 @@ class PlaintextLinkKeyDetector final : public Detector {
   [[nodiscard]] std::string_view name() const override { return kPlaintextLinkKey; }
 
   void on_record(const RecordCtx& ctx) override {
-    // Link_Key_Notification: BD_ADDR(6) + Link_Key(16) + Key_Type(1).
-    if (ctx.event == kLinkKeyNotification && ctx.params.size() >= 6 + 16) {
-      if (auto addr = addr_at(ctx.params, 0)) {
-        pending_.push_back(make_finding(
-            kPlaintextLinkKey, ctx, *addr,
-            strfmt("link key for %s in plaintext HCI_Link_Key_Notification (key %s)",
-                   addr->to_string().c_str(),
-                   hex(ctx.params.subspan(6, 16)).c_str())));
-      }
-      return;
-    }
-    // Link_Key_Request_Reply: BD_ADDR(6) + Link_Key(16) — the paper's
-    // "0b 04 16" search target.
-    if (ctx.opcode == hci::op::kLinkKeyRequestReply && ctx.params.size() >= 6 + 16) {
-      if (auto addr = addr_at(ctx.params, 0)) {
-        pending_.push_back(make_finding(
-            kPlaintextLinkKey, ctx, *addr,
-            strfmt("stored link key for %s replayed in HCI_Link_Key_Request_Reply (key %s)",
-                   addr->to_string().c_str(),
-                   hex(ctx.params.subspan(6, 16)).c_str())));
-      }
+    if (!ctx.type) return;
+    // Link_Key_Notification / Link_Key_Request_Reply (the paper's "0b 04 16"
+    // search target).
+    const BytesView payload = ctx.view.wire.subspan(1);
+    if (const auto field = hci::locate_link_key(*ctx.type, payload)) {
+      if (!field->key_present) return;
+      const BdAddr peer = field->peer(payload);
+      pending_.push_back(make_finding(
+          kPlaintextLinkKey, ctx, peer,
+          strfmt(*ctx.type == hci::PacketType::kEvent
+                     ? "link key for %s in plaintext HCI_Link_Key_Notification (key %s)"
+                     : "stored link key for %s replayed in HCI_Link_Key_Request_Reply (key %s)",
+                 peer.to_string().c_str(), hex(field->key(payload)).c_str())));
       return;
     }
     // Return_Link_Keys: Num_Keys(1) + Num_Keys x (BD_ADDR(6) + Key(16)) —

@@ -59,7 +59,7 @@ struct LegacyPairingCapture {
 
 struct PinCrackResult {
   bool found = false;
-  std::string pin;
+  crypto::PinCode pin;
   crypto::LinkKey link_key{};
   std::uint64_t attempts = 0;
 };

@@ -109,12 +109,9 @@ LinkKeyExtractionReport LinkKeyExtractionAttack::run(Simulation& sim, Device& at
                                       : "attack.extraction.bond_lost");
 
   // --- Step 6: extract the key from the capture. ----------------------------
-  std::optional<ExtractedKey> extracted;
+  std::vector<ExtractedKey> keys;
   if (options.use_usb_sniff) {
-    const UsbExtractionResult usb = run_usb_extraction(*sniffer);
-    report.keys_in_capture = usb.keys.size();
-    for (const auto& key : usb.keys)
-      if (key.peer == m_addr) extracted = key;
+    keys = run_usb_extraction(*sniffer).keys;
   } else {
     // The snoop file itself lives in an inaccessible directory; the attacker
     // pulls it through an Android bug report (paper §IV-A, ref [22]).
@@ -124,10 +121,12 @@ LinkKeyExtractionReport LinkKeyExtractionAttack::run(Simulation& sim, Device& at
       BLAP_ERROR("attack", "bug report carried no usable snoop attachment");
       return report;
     }
-    const auto keys = extract_link_keys(*snoop);
-    report.keys_in_capture = keys.size();
-    extracted = extract_link_key_for(*snoop, m_addr);
+    keys = extract_link_keys(*snoop);
   }
+  report.keys_in_capture = keys.size();
+  std::optional<ExtractedKey> extracted;
+  for (const auto& key : keys)
+    if (key.peer == m_addr) extracted = key;
   if (extracted) {
     report.key_extracted = true;
     report.extracted_key = extracted->key;

@@ -2,44 +2,28 @@
 
 #include <memory>
 
-#include "hci/commands.hpp"
-#include "hci/events.hpp"
-
 namespace blap::core {
-
-bool is_key_bearing(const hci::HciPacket& packet) {
-  if (packet.type == hci::PacketType::kCommand)
-    return packet.command_opcode() == hci::op::kLinkKeyRequestReply;
-  if (packet.type == hci::PacketType::kEvent)
-    return packet.event_code() == hci::ev::kLinkKeyNotification;
-  return false;
-}
 
 hci::SnoopLog::Filter make_link_key_snoop_filter(SnoopFilterMode mode, std::uint64_t rng_seed) {
   auto rng = std::make_shared<Rng>(rng_seed);
   return [mode, rng](hci::SnoopRecord record) -> std::optional<hci::SnoopRecord> {
-    if (!is_key_bearing(record.packet)) return record;
+    auto& payload = record.packet.payload;
+    const auto field = hci::locate_link_key(record.packet.type, payload);
+    if (!field) return record;
     switch (mode) {
-      case SnoopFilterMode::kHeaderOnly: {
-        // Keep only the header: for a command, opcode + length (3 bytes);
-        // for an event, code + length (2 bytes). orig_len keeps the truth.
-        const std::size_t header =
-            record.packet.type == hci::PacketType::kCommand ? 3u : 2u;
-        record.original_length =
-            static_cast<std::uint32_t>(record.packet.to_wire().size());
-        if (record.packet.payload.size() > header) record.packet.payload.resize(header);
+      case SnoopFilterMode::kHeaderOnly:
+        // Keep only the header, whether or not the key is complete; orig_len
+        // keeps the truth.
+        record.original_length = static_cast<std::uint32_t>(record.packet.to_wire().size());
+        if (payload.size() > field->header) payload.resize(field->header);
         return record;
-      }
-      case SnoopFilterMode::kRandomizeKey: {
-        const std::size_t key_offset =
-            record.packet.type == hci::PacketType::kCommand ? 3u + 6u : 2u + 6u;
-        if (record.packet.payload.size() >= key_offset + 16) {
+      case SnoopFilterMode::kRandomizeKey:
+        if (field->key_present) {
           const auto random = rng->bytes<16>();
           std::copy(random.begin(), random.end(),
-                    record.packet.payload.begin() + static_cast<std::ptrdiff_t>(key_offset));
+                    payload.begin() + static_cast<std::ptrdiff_t>(field->key_offset()));
         }
         return record;
-      }
     }
     return record;
   };

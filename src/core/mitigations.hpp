@@ -45,8 +45,4 @@ void apply_hci_payload_encryption(Device& device, std::uint64_t key_seed = 2022)
 /// Apply §VII-B: enable the page blocking detector on a (victim) device.
 void apply_page_blocking_detection(Device& device);
 
-/// True when the given packet carries a plaintext link key (the predicate
-/// all §VII-A defenses share).
-[[nodiscard]] bool is_key_bearing(const hci::HciPacket& packet);
-
 }  // namespace blap::core

@@ -134,7 +134,6 @@ PageBlockingReport PageBlockingAttack::run(Simulation& sim, Device& attacker,
 
   const FlowAnalysis analysis = classify_pairing_flow(target.host().snoop());
   report.m_flow = analysis.flow;
-  report.m_flow_table = target.host().snoop().format_table();
   return report;
 }
 

@@ -42,7 +42,6 @@ struct PageBlockingReport {
   PairingFlow m_flow = PairingFlow::kNone;  // Fig. 12 classification
   bool attacker_holds_link_key = false;     // persistent impersonation ready
   hci::Status m_pair_status = hci::Status::kSuccess;
-  std::string m_flow_table;            // M's dump rendered like Fig. 12
 };
 
 class PageBlockingAttack {

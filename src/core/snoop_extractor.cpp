@@ -1,7 +1,6 @@
 #include "core/snoop_extractor.hpp"
 
-#include "hci/commands.hpp"
-#include "hci/events.hpp"
+#include <algorithm>
 
 namespace blap::core {
 
@@ -19,23 +18,16 @@ std::vector<ExtractedKey> extract_link_keys(const hci::SnoopLog& log) {
   for (const auto& record : log.records()) {
     ++frame;
     const auto& packet = record.packet;
-    if (packet.type == hci::PacketType::kCommand &&
-        packet.command_opcode() == hci::op::kLinkKeyRequestReply) {
-      auto params = packet.command_params();
-      if (!params) continue;
-      auto cmd = hci::LinkKeyRequestReplyCmd::decode(*params);
-      if (!cmd) continue;
-      out.push_back(ExtractedKey{cmd->bdaddr, cmd->link_key,
-                                 KeySource::kLinkKeyRequestReply, record.timestamp_us, frame});
-    } else if (packet.type == hci::PacketType::kEvent &&
-               packet.event_code() == hci::ev::kLinkKeyNotification) {
-      auto params = packet.event_params();
-      if (!params) continue;
-      auto evt = hci::LinkKeyNotificationEvt::decode(*params);
-      if (!evt) continue;
-      out.push_back(ExtractedKey{evt->bdaddr, evt->link_key, KeySource::kLinkKeyNotification,
-                                 record.timestamp_us, frame});
-    }
+    const auto field = hci::locate_link_key(packet.type, packet.payload);
+    if (!field || !field->key_present) continue;
+    ExtractedKey key{field->peer(packet.payload), {},
+                     packet.type == hci::PacketType::kCommand ? KeySource::kLinkKeyRequestReply
+                                                              : KeySource::kLinkKeyNotification,
+                     record.timestamp_us, frame};
+    // The wire carries the key least-significant byte first.
+    const BytesView wire_key = field->key(packet.payload);
+    std::reverse_copy(wire_key.begin(), wire_key.end(), key.key.begin());
+    out.push_back(key);
   }
   return out;
 }

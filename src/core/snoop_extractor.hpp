@@ -3,8 +3,8 @@
 // Exactly the analysis the paper performs on the log pulled via Android's
 // bug report: scan every record for the two key-bearing HCI messages —
 // HCI_Link_Key_Request_Reply (host → controller) and
-// HCI_Link_Key_Notification (controller → host) — and decode the peer
-// address plus the 128-bit key from their plaintext payloads.
+// HCI_Link_Key_Notification (controller → host) — and read the peer
+// address plus the 128-bit key where hci::locate_link_key finds them.
 #pragma once
 
 #include <vector>
@@ -30,7 +30,8 @@ struct ExtractedKey {
   std::size_t frame_index = 0;  // 1-based frame number in the dump
 };
 
-/// Scan a snoop log for link keys. Returns every occurrence in order.
+/// Scan a snoop log for link keys: every record whose key bytes are all
+/// present, in order.
 [[nodiscard]] std::vector<ExtractedKey> extract_link_keys(const hci::SnoopLog& log);
 
 /// Convenience: the most recent key for a specific peer, if any.

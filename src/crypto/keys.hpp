@@ -32,6 +32,10 @@ using Sres = std::array<std::uint8_t, 4>;
 /// 128-bit random challenge (AU_RAND / EN_RAND / pairing nonces).
 using Rand128 = std::array<std::uint8_t, 16>;
 
+/// Legacy-pairing PIN (1..16 bytes): with BD_ADDR and IN_RAND it derives
+/// Kinit, so it is key material too.
+using PinCode = std::string;
+
 [[nodiscard]] inline std::string key_to_hex(BytesView key) { return hex(key); }
 
 [[nodiscard]] inline std::optional<LinkKey> link_key_from_hex(std::string_view text) {

@@ -85,7 +85,7 @@ struct LinkKeyRequestNegativeReplyCmd {
 /// HCI in plaintext too — legacy pairing never improved on that.
 struct PinCodeRequestReplyCmd {
   BdAddr bdaddr;
-  std::string pin;  // 1..16 bytes
+  crypto::PinCode pin;  // 1..16 bytes
 
   [[nodiscard]] HciPacket encode() const;
   [[nodiscard]] static std::optional<PinCodeRequestReplyCmd> decode(BytesView params);

@@ -88,6 +88,11 @@ std::string HciPacket::describe() const {
   return "?";
 }
 
+BdAddr LinkKeyField::peer(BytesView payload) const {
+  ByteReader r(payload.subspan(header));
+  return *BdAddr::from_wire(r);
+}
+
 HciPacket make_command(std::uint16_t op, BytesView params) {
   ByteWriter w;
   w.u16(op).u8(static_cast<std::uint8_t>(params.size())).raw(params);

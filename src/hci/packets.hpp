@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 
+#include "common/bdaddr.hpp"
 #include "common/bytes.hpp"
 #include "hci/constants.hpp"
 
@@ -62,6 +63,45 @@ struct HciPacket {
 
   friend bool operator==(const HciPacket&, const HciPacket&) = default;
 };
+
+/// Where a key-bearing packet carries its plaintext link key. Exactly two
+/// messages do: HCI_Link_Key_Request_Reply (command) and
+/// HCI_Link_Key_Notification (event). Both put the peer BD_ADDR(6) and the
+/// Link_Key(16, wire order) right after their header.
+struct LinkKeyField {
+  /// Bytes before the peer BD_ADDR: 3 for the command (opcode + length),
+  /// 2 for the event (code + length).
+  std::size_t header = 0;
+  /// The payload holds all 16 key bytes.
+  bool key_present = false;
+
+  [[nodiscard]] std::size_t key_offset() const { return header + BdAddr::kSize; }
+  /// The peer address; requires key_present.
+  [[nodiscard]] BdAddr peer(BytesView payload) const;
+  /// The 16 key bytes in wire order; requires key_present.
+  [[nodiscard]] BytesView key(BytesView payload) const { return payload.subspan(key_offset(), 16); }
+};
+
+/// The one answer to "does this packet carry a link key, and where?", shared
+/// by the §IV-A extractor, the plaintext_link_key detector and both §VII-A
+/// defenses. `payload` follows the H4 type byte (HciPacket::payload or
+/// SnoopRecordView::wire.subspan(1)). nullopt unless the packet is
+/// key-bearing, which the opcode or event code alone decides; key_present
+/// then counts the bytes actually there, never the parameter-length byte.
+[[nodiscard]] inline std::optional<LinkKeyField> locate_link_key(PacketType type,
+                                                                 BytesView payload) {
+  std::size_t header = 0;
+  if (type == PacketType::kCommand && payload.size() >= 3 &&
+      (payload[0] | (payload[1] << 8)) == op::kLinkKeyRequestReply) {
+    header = 3;
+  } else if (type == PacketType::kEvent && payload.size() >= 2 &&
+             payload[0] == ev::kLinkKeyNotification) {
+    header = 2;
+  } else {
+    return std::nullopt;
+  }
+  return LinkKeyField{header, payload.size() >= header + BdAddr::kSize + 16};
+}
 
 /// Build a command packet: opcode + parameter length + parameters.
 [[nodiscard]] HciPacket make_command(std::uint16_t op, BytesView params);

@@ -1107,6 +1107,7 @@ void HostStack::save_state(state::StateWriter& w) const {
   w.u64(config_.acl_idle_timeout);
   w.boolean(config_.hci_dump_available);
   w.boolean(config_.detect_page_blocking);
+  // blap-taint: declassified — snapshot key section (legacy PIN)
   w.str(config_.pin_code);
   w.boolean(config_.simple_pairing);
   w.boolean(config_.fault_recovery);

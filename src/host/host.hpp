@@ -66,7 +66,7 @@ struct HostConfig {
   /// PIN supplied during legacy (pre-SSP) pairing when no UserAgent
   /// overrides it. Real users overwhelmingly chose short numeric PINs —
   /// the weakness SSP was designed to retire (paper §II-C1).
-  std::string pin_code = "0000";
+  crypto::PinCode pin_code = "0000";
   /// Secure Simple Pairing support. false models a pre-2.1 stack: pairing
   /// falls back to the legacy PIN procedure (either side lacking SSP
   /// downgrades the pair of them).

@@ -13,18 +13,8 @@ void HciTransport::set_link_key_payload_protection(std::optional<crypto::Aes128:
 hci::HciPacket HciTransport::wire_view(hci::Direction direction, const hci::HciPacket& packet) {
   if (!protection_key_) return packet;
 
-  // Locate a 16-byte link key field inside the packet, if any.
-  std::size_t key_offset = 0;
-  if (packet.type == hci::PacketType::kCommand &&
-      packet.command_opcode() == hci::op::kLinkKeyRequestReply && packet.payload.size() >= 25) {
-    key_offset = 3 + 6;  // opcode(2) + len(1) + BD_ADDR(6)
-  } else if (packet.type == hci::PacketType::kEvent &&
-             packet.event_code() == hci::ev::kLinkKeyNotification &&
-             packet.payload.size() >= 24) {
-    key_offset = 2 + 6;  // event code(1) + len(1) + BD_ADDR(6)
-  } else {
-    return packet;
-  }
+  const auto field = hci::locate_link_key(packet.type, packet.payload);
+  if (!field || !field->key_present) return packet;
 
   // AES-CTR keystream block: [counter LE u64 | direction | zero padding].
   const std::uint64_t counter = protection_counter_[static_cast<int>(direction)]++;
@@ -35,7 +25,8 @@ hci::HciPacket HciTransport::wire_view(hci::Direction direction, const hci::HciP
   const crypto::Aes128::Block keystream = cipher.encrypt(nonce);
 
   hci::HciPacket protected_packet = packet;
-  for (std::size_t i = 0; i < 16; ++i) protected_packet.payload[key_offset + i] ^= keystream[i];
+  for (std::size_t i = 0; i < 16; ++i)
+    protected_packet.payload[field->key_offset() + i] ^= keystream[i];
   return protected_packet;
 }
 

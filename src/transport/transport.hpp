@@ -80,8 +80,8 @@ class HciTransport {
 
  private:
   /// The wire view of a packet: identical to `packet` unless protection is
-  /// active and the packet carries a link key, in which case the key field
-  /// is AES-CTR encrypted.
+  /// active and the packet carries a link key, in which case the key bytes
+  /// hci::locate_link_key finds are AES-CTR encrypted.
   [[nodiscard]] hci::HciPacket wire_view(hci::Direction direction,
                                          const hci::HciPacket& packet);
 

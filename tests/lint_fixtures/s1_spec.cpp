@@ -1,22 +1,6 @@
-// Fixture for rule S1 (spec invariants: no key bytes in logs, centralized
-// association-model decisions). Never compiled.
-#define BLAP_DEBUG(component, ...)
-#define BLAP_INFO(component, ...)
+// Fixture for rule S1 (centralized association-model decisions). Never
+// compiled.
 enum IoCapability { kDisplayYesNo, kNoInputNoOutput };
-
-struct Bond {
-  unsigned char link_key[16];
-  const char* name;
-};
-
-void bad_key_log(const Bond& bond, const char* hex(const unsigned char*)) {
-  BLAP_DEBUG("host", "stored key %s", hex(bond.link_key));  // EXPECT-S1
-}
-
-void fine_key_event_log(const Bond& bond) {
-  // Logging the *event* (and prose mentioning Link_Key_Request) is fine.
-  BLAP_INFO("host", "link key stored for %s", bond.name);
-}
 
 bool bad_iocap_check(IoCapability peer) {
   return peer == kNoInputNoOutput;  // EXPECT-S1

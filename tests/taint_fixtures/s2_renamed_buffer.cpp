@@ -1,12 +1,10 @@
-// s2_renamed_buffer — the flow S1 provably cannot see.
+// s2_renamed_buffer — a flow no name scan can see.
 //
-// blap-lint's S1 is a token scan: it fires when an identifier *naming* key
-// material (link_key, pin_code, ...) appears inside a log macro. Renaming
-// the buffer through a local severs that match — `staged` names nothing —
-// while the bytes still reach the log. The S2 dataflow pass follows
-// record.link_key -> staged -> hex(staged) -> BLAP_INFO regardless of the
-// name. test_taint runs blap-lint over this file and asserts S1 stays
-// silent, then asserts S2 fires on exactly the marked line.
+// Renaming the buffer through a local severs any match on identifiers that
+// *name* key material — `staged` names nothing — while the bytes still
+// reach the log. The S2 dataflow pass follows record.link_key -> staged ->
+// hex(staged) -> BLAP_INFO regardless of the name; test_taint asserts it
+// fires on exactly the marked line.
 struct LinkKey {
   unsigned char bytes[16];
 };

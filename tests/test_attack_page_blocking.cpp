@@ -77,10 +77,11 @@ TEST(PageBlocking, VictimDumpMatchesFig12b) {
   const auto report = PageBlockingAttack::run(*s.sim, *s.attacker, *s.accessory, *s.target, {});
   EXPECT_EQ(report.m_flow, PairingFlow::kPageBlocked);
   // The rendered table carries the Fig. 12b distinguishing rows.
-  EXPECT_NE(report.m_flow_table.find("HCI_Connection_Request"), std::string::npos);
-  EXPECT_NE(report.m_flow_table.find("HCI_Accept_Connection_Request"), std::string::npos);
-  EXPECT_NE(report.m_flow_table.find("HCI_Authentication_Requested"), std::string::npos);
-  EXPECT_EQ(report.m_flow_table.find("HCI_Create_Connection"), std::string::npos);
+  const std::string table = s.target->host().snoop().format_table();
+  EXPECT_NE(table.find("HCI_Connection_Request"), std::string::npos);
+  EXPECT_NE(table.find("HCI_Accept_Connection_Request"), std::string::npos);
+  EXPECT_NE(table.find("HCI_Authentication_Requested"), std::string::npos);
+  EXPECT_EQ(table.find("HCI_Create_Connection"), std::string::npos);
 }
 
 TEST(PageBlocking, NormalPairingMatchesFig12a) {

@@ -24,6 +24,44 @@ TEST(HciPacket, CommandWireFormat) {
   EXPECT_EQ(wire.size(), 4u + 22u);
 }
 
+TEST(IsKeyBearing, IdentifiesBothKeyMessages) {
+  auto key_bearing = [](const HciPacket& p) {
+    return locate_link_key(p.type, p.payload).has_value();
+  };
+  LinkKeyRequestReplyCmd reply;
+  reply.bdaddr = kAddr;
+  LinkKeyNotificationEvt notification;
+  notification.bdaddr = kAddr;
+  EXPECT_TRUE(key_bearing(reply.encode()));
+  EXPECT_TRUE(key_bearing(notification.encode()));
+  EXPECT_FALSE(key_bearing(make_command(op::kReset, {})));
+  EXPECT_FALSE(key_bearing(make_command(op::kLinkKeyRequestNegativeReply, Bytes(6))));
+  EXPECT_FALSE(key_bearing(make_event(ev::kLinkKeyRequest, Bytes(6))));
+  EXPECT_FALSE(key_bearing(make_acl(1, Bytes{1, 2, 3})));
+}
+
+TEST(LocateLinkKey, PeerAndWireOrderKeyFollowTheHeader) {
+  LinkKeyRequestReplyCmd reply;
+  reply.bdaddr = kAddr;
+  for (std::size_t i = 0; i < 16; ++i) reply.link_key[i] = static_cast<std::uint8_t>(i);
+  LinkKeyNotificationEvt notification;
+  notification.bdaddr = kAddr;
+  notification.link_key = reply.link_key;
+  for (const HciPacket& packet : {reply.encode(), notification.encode()}) {
+    const auto field = locate_link_key(packet.type, packet.payload);
+    ASSERT_TRUE(field.has_value());
+    EXPECT_TRUE(field->key_present);
+    EXPECT_EQ(field->header, packet.type == PacketType::kCommand ? 3u : 2u);
+    EXPECT_EQ(field->key_offset(), field->header + 6);
+    EXPECT_EQ(field->peer(packet.payload), kAddr);
+    // The wire carries the key least-significant byte first.
+    const BytesView key = field->key(packet.payload);
+    ASSERT_EQ(key.size(), 16u);
+    EXPECT_EQ(key.front(), 15);
+    EXPECT_EQ(key.back(), 0);
+  }
+}
+
 TEST(HciPacket, FromWireRejectsBadTypeByte) {
   EXPECT_FALSE(HciPacket::from_wire(Bytes{0x00, 0x01}).has_value());
   EXPECT_FALSE(HciPacket::from_wire(Bytes{0x05}).has_value());

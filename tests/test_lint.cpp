@@ -71,7 +71,6 @@ void check_fixture(const std::string& name) {
 
 TEST(LintFixtures, D1WallclockFiresAndHonorsSuppression) { check_fixture("d1_wallclock.cpp"); }
 TEST(LintFixtures, D2UnorderedFiresAndHonorsSuppression) { check_fixture("d2_unordered.cpp"); }
-TEST(LintFixtures, D3CaptureFiresAndHonorsSuppression) { check_fixture("d3_capture.cpp"); }
 TEST(LintFixtures, D4ObsGuardFiresAndHonorsSuppression) { check_fixture("d4_obs.cpp"); }
 TEST(LintFixtures, D5RadioScanFiresAndHonorsSuppression) { check_fixture("d5_radio.cpp"); }
 TEST(LintFixtures, S1SpecFiresAndHonorsSuppression) { check_fixture("s1_spec.cpp"); }
@@ -140,8 +139,7 @@ TEST(Lint, D7ScopedToSrcTree) {
 }
 
 TEST(Lint, RuleMetadataIsConsistent) {
-  for (Rule rule : {Rule::kD1Wallclock, Rule::kD2Ordered, Rule::kD3Handle, Rule::kD4ObsGuard,
-                    Rule::kD5RadioScan, Rule::kS1Spec, Rule::kD7Failpoint}) {
+  for (Rule rule : blap::lint::kAllRules) {
     EXPECT_STRNE(blap::lint::rule_id(rule), "?");
     EXPECT_STRNE(blap::lint::rule_tag(rule), "?");
     EXPECT_STRNE(blap::lint::rule_summary(rule), "?");

@@ -3,7 +3,6 @@
 #include "lint.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -162,52 +161,6 @@ void rule_d2(const std::string& path, const Lexed& lx, const Options& options,
 }
 
 // --------------------------------------------------------------------------
-// D3 — raw device pointers captured into scheduler callbacks.
-
-void rule_d3(const std::string& path, const Lexed& lx, const Options& options,
-             std::vector<Finding>& findings) {
-  if (!options.all_rules_everywhere && !path_has(path, "src/")) return;
-  static const std::set<std::string> kDeviceTypes = {"Device", "Controller", "HostStack",
-                                                     "RadioEndpoint", "Simulation"};
-  const auto& t = lx.tokens;
-  // Names declared anywhere in this file as a raw pointer to a device-layer
-  // type (parameters and locals both match `Type * name`).
-  std::set<std::string> pointer_names;
-  for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-    if (kDeviceTypes.count(t[i].text) != 0 && t[i + 1].text == "*" &&
-        ident_start(t[i + 2].text[0]))
-      pointer_names.insert(t[i + 2].text);
-  }
-  if (pointer_names.empty()) return;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].text != "schedule_in" && t[i].text != "schedule_at") continue;
-    if (t[i + 1].text != "(") continue;
-    const std::size_t close = match_close(t, i + 1);
-    // The whole schedule statement — through the lambda body to the call's
-    // closing paren — is one suppression range, so a tag anywhere on a
-    // multi-line statement covers it (consistent with D5's statement range).
-    const int stmt_end_line = close < t.size() ? t[close].line : t[i].line;
-    // First lambda introducer inside the call's argument list.
-    for (std::size_t k = i + 2; k < close; ++k) {
-      if (t[k].text != "[") continue;
-      const std::size_t cap_end = match_close(t, k);
-      for (std::size_t c = k + 1; c < cap_end; ++c) {
-        if (pointer_names.count(t[c].text) != 0) {
-          if (!suppressed_range(lx, t[i].line, stmt_end_line, rule_tag(Rule::kD3Handle)))
-            findings.push_back(Finding{
-                Rule::kD3Handle, path, t[k].line,
-                "scheduler callback captures raw device pointer '" + t[c].text +
-                    "'; capture a generation-counted id/handle instead, or re-verify "
-                    "liveness at fire time and suppress with a justification"});
-          break;
-        }
-      }
-      break;  // only the callback lambda itself, not nested lambdas
-    }
-  }
-}
-
-// --------------------------------------------------------------------------
 // D4 — observer dereferences must be null-guarded.
 
 bool obs_ident(const std::string& s) {
@@ -295,8 +248,7 @@ void rule_d5(const std::string& path, const Lexed& lx, const Options& options,
   // Statement-granular suppression: a finding deep inside a multi-line
   // statement (a find_if whose arguments span lines, ending in a lambda) is
   // covered by a tag anywhere in the statement — from its first line to the
-  // delimiter that ends it — or above its first line; the same range
-  // semantics D3 applies to schedule calls.
+  // delimiter that ends it — or above its first line.
   auto is_delim = [](const std::string& s) { return s == ";" || s == "{" || s == "}"; };
   auto flag = [&](std::size_t at, std::string message) {
     std::size_t first = at;
@@ -326,38 +278,12 @@ void rule_d5(const std::string& path, const Lexed& lx, const Options& options,
 }
 
 // --------------------------------------------------------------------------
-// S1 — spec invariants.
+// S1 — IO-capability / association-model comparisons are the business of
+// ui_model and security_manager; scattered copies are how Happy-MitM-style
+// spec violations creep in.
 
 void rule_s1(const std::string& path, const Lexed& lx, const Options& options,
              std::vector<Finding>& findings) {
-  const auto& t = lx.tokens;
-  // (a) Secret key material must never reach a log call. String literals are
-  // already stripped, so prose like "Link_Key_Request" cannot trip this —
-  // only actual identifiers holding key bytes do.
-  static const char* kSecretNeedles[] = {"link_key", "pin_code", "linkkey"};
-  static const std::set<std::string> kLogMacros = {"BLAP_LOG",  "BLAP_TRACE", "BLAP_DEBUG",
-                                                   "BLAP_INFO", "BLAP_WARN",  "BLAP_ERROR"};
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (kLogMacros.count(t[i].text) == 0 || t[i + 1].text != "(") continue;
-    const std::size_t close = match_close(t, i + 1);
-    for (std::size_t k = i + 2; k < close; ++k) {
-      std::string lower = t[k].text;
-      std::transform(lower.begin(), lower.end(), lower.begin(),
-                     [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-      for (const char* needle : kSecretNeedles) {
-        if (lower.find(needle) != std::string::npos) {
-          report(findings, lx, Rule::kS1Spec, path, t[k].line,
-                 "secret material '" + t[k].text + "' flows into a log call; log key "
-                 "*events*, never key bytes");
-          k = close;  // one finding per call site
-          break;
-        }
-      }
-    }
-  }
-  // (b) IO-capability / association-model comparisons are the business of
-  // ui_model and security_manager; scattered copies are how Happy-MitM-style
-  // spec violations creep in.
   if (!options.all_rules_everywhere) {
     if (!path_has(path, "src/")) return;
     if (path_has(path, "src/host/ui_model") || path_has(path, "src/host/security_manager") ||
@@ -366,6 +292,7 @@ void rule_s1(const std::string& path, const Lexed& lx, const Options& options,
   }
   static const std::set<std::string> kIoCapConsts = {"kNoInputNoOutput", "kDisplayOnly",
                                                      "kDisplayYesNo", "kKeyboardOnly"};
+  const auto& t = lx.tokens;
   // Statement-granular scan: flag a statement containing both an IO-cap
   // constant and a comparison operator.
   std::size_t stmt_start = 0;
@@ -444,7 +371,6 @@ const char* rule_id(Rule rule) {
   switch (rule) {
     case Rule::kD1Wallclock: return "D1";
     case Rule::kD2Ordered: return "D2";
-    case Rule::kD3Handle: return "D3";
     case Rule::kD4ObsGuard: return "D4";
     case Rule::kD5RadioScan: return "D5";
     case Rule::kS1Spec: return "S1";
@@ -457,7 +383,6 @@ const char* rule_tag(Rule rule) {
   switch (rule) {
     case Rule::kD1Wallclock: return "wallclock-ok";
     case Rule::kD2Ordered: return "ordered-ok";
-    case Rule::kD3Handle: return "handle-ok";
     case Rule::kD4ObsGuard: return "obs-ok";
     case Rule::kD5RadioScan: return "radio-scan-ok";
     case Rule::kS1Spec: return "spec-ok";
@@ -472,15 +397,12 @@ const char* rule_summary(Rule rule) {
       return "no wall-clock/PRNG sources in simulation code";
     case Rule::kD2Ordered:
       return "no iteration over unordered containers in simulation code";
-    case Rule::kD3Handle:
-      return "no raw device pointers captured into scheduler callbacks";
     case Rule::kD4ObsGuard:
       return "observer dereferences must be null-guarded";
     case Rule::kD5RadioScan:
       return "no unordered containers or std:: linear scans in src/radio/";
     case Rule::kS1Spec:
-      return "spec invariants: no key bytes in logs, association-model "
-             "decisions centralized";
+      return "association-model decisions centralized in ui_model/security_manager";
     case Rule::kD7Failpoint:
       return "every BLAP_FAILPOINT must sit inside an if condition";
   }
@@ -500,7 +422,6 @@ std::vector<Finding> lint_file(std::string_view path, std::string_view content,
   std::vector<Finding> findings;
   rule_d1(norm, lx, options, findings);
   rule_d2(norm, lx, options, findings);
-  rule_d3(norm, lx, options, findings);
   rule_d4(norm, lx, options, findings);
   rule_d5(norm, lx, options, findings);
   rule_s1(norm, lx, options, findings);

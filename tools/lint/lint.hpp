@@ -2,11 +2,10 @@
 //
 // BLAP's headline claim — byte-identical campaign JSON for any worker count —
 // rests on coding rules no compiler checks: simulation code must never read
-// the wall clock, hash-table iteration order must never reach a serializer,
-// and scheduler callbacks must not capture raw device pointers that can
-// dangle across virtual time. blap-lint tokenizes the tree (comments and
-// string literals stripped, so prose never trips a rule) and enforces those
-// rules as named, individually suppressible findings:
+// the wall clock, and hash-table iteration order must never reach a
+// serializer. blap-lint tokenizes the tree (comments and string literals
+// stripped, so prose never trips a rule) and enforces those rules as named,
+// individually suppressible findings:
 //
 //   D1 wallclock    no wall-clock/PRNG calls (`system_clock`, `steady_clock`,
 //                   `std::rand`, `time(...)`, ...) outside the campaign
@@ -16,10 +15,6 @@
 //                   tools/snoopd/, whose FleetReport CI byte-diffs across
 //                   worker counts) — iteration order is rehash-dependent
 //                   and one hop from serialized output.
-//   D3 handle       scheduler callbacks must not capture raw device-layer
-//                   pointers (`Device*`, `Controller*`, `RadioEndpoint*`,
-//                   `HostStack*`); use generation-counted ids/handles or
-//                   re-verify liveness at fire time (then suppress).
 //   D4 obs-guard    every observer dereference (`obs_->...`) must sit under
 //                   a null guard so an uninstrumented run pays one branch
 //                   and zero allocations per site.
@@ -28,10 +23,8 @@
 //                   their order is one hop from serialized output), and no
 //                   `std::find`/`std::find_if` linear scans over endpoints;
 //                   resolution goes through the EndpointRegistry indexes.
-//   S1 spec         spec invariants: secret key material (link keys, PIN
-//                   codes) must never reach a log call, and IO-capability /
-//                   association-model comparisons live in ui_model /
-//                   security_manager, nowhere else.
+//   S1 spec         IO-capability / association-model comparisons live in
+//                   ui_model / security_manager, nowhere else.
 //   D7 failpoint    every `BLAP_FAILPOINT("...")` in src/ must sit inside
 //                   an `if` condition: a failpoint IS a branch, and a
 //                   bare-expression passage would count hits while silently
@@ -39,9 +32,13 @@
 //                   "explore" an instance that cannot do anything).
 //
 // Suppression: `// blap-lint: <tag>-ok [justification]` on the offending
-// line or the line directly above. Tags: wallclock-ok, ordered-ok,
-// handle-ok, obs-ok, radio-scan-ok, spec-ok, failpoint-ok. A justification
-// is free text; write one.
+// line or the line directly above. Tags: wallclock-ok, ordered-ok, obs-ok,
+// radio-scan-ok, spec-ok, failpoint-ok. A justification is free text; write
+// one.
+//
+// blap-taint (tools/taint) owns the two rules a token scan cannot prove:
+// key material reaching a log or other sink (S2, by type and dataflow) and
+// raw device pointers captured into scheduler callbacks (D6).
 //
 // The analyzer is deliberately token-based, not AST-based: it has zero
 // dependencies, runs on the whole tree in milliseconds, and its rules are
@@ -58,12 +55,15 @@ namespace blap::lint {
 enum class Rule {
   kD1Wallclock,
   kD2Ordered,
-  kD3Handle,
   kD4ObsGuard,
   kD5RadioScan,
   kS1Spec,
   kD7Failpoint,
 };
+
+/// Every rule, in report order.
+inline constexpr Rule kAllRules[] = {Rule::kD1Wallclock, Rule::kD2Ordered, Rule::kD4ObsGuard,
+                                     Rule::kD5RadioScan, Rule::kS1Spec,    Rule::kD7Failpoint};
 
 [[nodiscard]] const char* rule_id(Rule rule);        // "D1"
 [[nodiscard]] const char* rule_tag(Rule rule);       // "wallclock-ok"

@@ -24,9 +24,7 @@ void usage() {
 }
 
 void list_rules() {
-  using blap::lint::Rule;
-  for (Rule rule : {Rule::kD1Wallclock, Rule::kD2Ordered, Rule::kD3Handle, Rule::kD4ObsGuard,
-                    Rule::kD5RadioScan, Rule::kS1Spec}) {
+  for (blap::lint::Rule rule : blap::lint::kAllRules) {
     std::printf("%s  (suppress: // blap-lint: %s)\n    %s\n", blap::lint::rule_id(rule),
                 blap::lint::rule_tag(rule), blap::lint::rule_summary(rule));
   }

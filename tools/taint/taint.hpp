@@ -1,14 +1,14 @@
 // taint.hpp — blap-taint: cross-TU secret-flow and callback-lifetime
 // analysis for the BLAP tree.
 //
-// blap-lint's S1 is a token scan: it catches `BLAP_INFO(..., link_key)`
-// because the identifier *names* the secret. It cannot catch
+// A token scan can catch `BLAP_INFO(..., link_key)` because the identifier
+// *names* the secret. It cannot catch
 //
 //   auto staged = record.link_key;      // renamed...
 //   BLAP_INFO("sec", "%s", hex(staged));  // ...and leaked
 //
-// blap-taint closes that gap with two interprocedural passes over the
-// mini-IR (ir.hpp):
+// blap-taint follows types and dataflow instead, with two interprocedural
+// passes over the mini-IR (ir.hpp):
 //
 //   S2 (secret flow). Taint seeds at every value whose declared type names
 //   key material (LinkKey, EncryptionKey — the E0 session key — PinCode)
@@ -28,7 +28,7 @@
 //   intentional attack-observation points and are reported as sites so CI
 //   can diff them against the pinned whitelist.
 //
-//   D6 (callback lifetime; supersedes D3's blanket suppression story).
+//   D6 (callback lifetime).
 //   Every scheduler-callback lambda (schedule_in/schedule_at/
 //   schedule_at_seq) is checked: capturing a raw device pointer (Device,
 //   Controller, HostStack, RadioEndpoint, Simulation) is a finding unless
