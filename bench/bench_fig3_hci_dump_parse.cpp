@@ -50,7 +50,7 @@ int main() {
               hexdump(wire).c_str());
 
   auto params = record.packet.command_params();
-  auto cmd = hci::LinkKeyRequestReplyCmd::decode(*params);
+  auto cmd = pdu::decode<hci::LinkKeyRequestReplyCmd>(*params);
   std::printf("Decoded HCI_Link_Key_Request_Reply:\n");
   std::printf("  packet indicator : 0x%02x (HCI command)\n", wire[0]);
   std::printf("  opcode           : 0x%04x (%s)\n", *record.packet.command_opcode(),

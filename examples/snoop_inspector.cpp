@@ -90,13 +90,13 @@ int export_trace(const blap::hci::SnoopLog& log, const std::string& out_path) {
   const std::uint32_t h2c = recorder.intern_device("host->controller");
   const std::uint32_t c2h = recorder.intern_device("controller->host");
   const std::uint32_t keys = recorder.intern_device("key material");
-  std::size_t index = 0;
+  // Frames are numbered from 1, as on the key lane and in --jsonl.
+  std::size_t frame = 0;
   for (const auto& record : log.records()) {
     const bool to_host = record.direction == hci::Direction::kControllerToHost;
     recorder.instant(record.timestamp_us, to_host ? c2h : h2c, obs::Layer::kHci,
                      record.packet.describe(),
-                     strfmt("frame %zu, %zu bytes", index, record.packet.payload.size()));
-    ++index;
+                     strfmt("frame %zu, %zu bytes", ++frame, record.packet.payload.size()));
   }
   for (const auto& key : core::extract_link_keys(log)) {
     recorder.instant(key.timestamp_us, keys, obs::Layer::kAttack, "plaintext_link_key",

@@ -70,14 +70,14 @@ void Controller::command_complete_raw(std::uint16_t opcode, BytesView return_par
   hci::CommandCompleteEvt evt;
   evt.command_opcode = opcode;
   evt.return_parameters = to_bytes(return_params);
-  send_event(evt.encode());
+  send_event(hci::encode(evt));
 }
 
 void Controller::command_status(std::uint16_t opcode, hci::Status status) {
   hci::CommandStatusEvt evt;
   evt.status = status;
   evt.command_opcode = opcode;
-  send_event(evt.encode());
+  send_event(hci::encode(evt));
 }
 
 void Controller::on_command(const hci::HciPacket& packet) {
@@ -129,92 +129,94 @@ void Controller::on_command(const hci::HciPacket& packet) {
       break;
     }
     case hci::op::kWriteScanEnable:
-      if (auto cmd = hci::WriteScanEnableCmd::decode(*params)) {
+      if (auto cmd = pdu::decode<hci::WriteScanEnableCmd>(*params)) {
         scan_enable_ = cmd->scan_enable;
         medium_.notify_endpoint_changed(this);
         command_complete(*opcode, hci::Status::kSuccess);
       }
       break;
     case hci::op::kWriteClassOfDevice:
-      if (auto cmd = hci::WriteClassOfDeviceCmd::decode(*params)) {
+      if (auto cmd = pdu::decode<hci::WriteClassOfDeviceCmd>(*params)) {
         config_.class_of_device = cmd->class_of_device;
         command_complete(*opcode, hci::Status::kSuccess);
       }
       break;
     case hci::op::kWriteLocalName:
-      if (auto cmd = hci::WriteLocalNameCmd::decode(*params)) {
+      if (auto cmd = pdu::decode<hci::WriteLocalNameCmd>(*params)) {
         config_.name = cmd->name;
         command_complete(*opcode, hci::Status::kSuccess);
       }
       break;
     case hci::op::kWriteSimplePairingMode:
-      if (auto cmd = hci::WriteSimplePairingModeCmd::decode(*params)) {
+      if (auto cmd = pdu::decode<hci::WriteSimplePairingModeCmd>(*params)) {
         simple_pairing_mode_ = cmd->enabled != 0;
         command_complete(*opcode, hci::Status::kSuccess);
       }
       break;
     case hci::op::kInquiry:
-      if (auto cmd = hci::InquiryCmd::decode(*params)) handle_inquiry(*cmd);
+      if (auto cmd = pdu::decode<hci::InquiryCmd>(*params)) handle_inquiry(*cmd);
       break;
     case hci::op::kInquiryCancel:
       inquiring_ = false;
       command_complete(*opcode, hci::Status::kSuccess);
       break;
     case hci::op::kCreateConnection:
-      if (auto cmd = hci::CreateConnectionCmd::decode(*params)) handle_create_connection(*cmd);
+      if (auto cmd = pdu::decode<hci::CreateConnectionCmd>(*params)) handle_create_connection(*cmd);
       break;
     case hci::op::kAcceptConnectionRequest:
-      if (auto cmd = hci::AcceptConnectionRequestCmd::decode(*params))
+      if (auto cmd = pdu::decode<hci::AcceptConnectionRequestCmd>(*params))
         handle_accept_connection(*cmd);
       break;
     case hci::op::kRejectConnectionRequest:
-      if (auto cmd = hci::RejectConnectionRequestCmd::decode(*params))
+      if (auto cmd = pdu::decode<hci::RejectConnectionRequestCmd>(*params))
         handle_reject_connection(*cmd);
       break;
     case hci::op::kDisconnect:
-      if (auto cmd = hci::DisconnectCmd::decode(*params)) handle_disconnect(*cmd);
+      if (auto cmd = pdu::decode<hci::DisconnectCmd>(*params)) handle_disconnect(*cmd);
       break;
     case hci::op::kAuthenticationRequested:
-      if (auto cmd = hci::AuthenticationRequestedCmd::decode(*params))
+      if (auto cmd = pdu::decode<hci::AuthenticationRequestedCmd>(*params))
         handle_authentication_requested(*cmd);
       break;
     case hci::op::kLinkKeyRequestReply:
-      if (auto cmd = hci::LinkKeyRequestReplyCmd::decode(*params)) handle_link_key_reply(*cmd);
+      if (auto cmd = pdu::decode<hci::LinkKeyRequestReplyCmd>(*params)) handle_link_key_reply(*cmd);
       break;
     case hci::op::kLinkKeyRequestNegativeReply:
-      if (auto cmd = hci::LinkKeyRequestNegativeReplyCmd::decode(*params))
+      if (auto cmd = pdu::decode<hci::LinkKeyRequestNegativeReplyCmd>(*params))
         handle_link_key_negative_reply(*cmd);
       break;
     case hci::op::kIoCapabilityRequestReply:
-      if (auto cmd = hci::IoCapabilityRequestReplyCmd::decode(*params))
+      if (auto cmd = pdu::decode<hci::IoCapabilityRequestReplyCmd>(*params))
         handle_io_capability_reply(*cmd);
       break;
     case hci::op::kPinCodeRequestReply:
-      if (auto cmd = hci::PinCodeRequestReplyCmd::decode(*params)) handle_pin_code_reply(*cmd);
+      if (auto cmd = pdu::decode<hci::PinCodeRequestReplyCmd>(*params)) handle_pin_code_reply(*cmd);
       break;
     case hci::op::kPinCodeRequestNegativeReply:
-      if (auto cmd = hci::PinCodeRequestNegativeReplyCmd::decode(*params)) {
+      if (auto cmd = pdu::decode<hci::PinCodeRequestNegativeReplyCmd>(*params)) {
         command_complete(*opcode, hci::Status::kSuccess);
         handle_pin_code_negative_reply(cmd->bdaddr);
       }
       break;
     case hci::op::kUserConfirmationRequestReply:
-      if (auto cmd = hci::UserConfirmationRequestReplyCmd::decode(*params)) {
+      if (auto cmd = pdu::decode<hci::UserConfirmationRequestReplyCmd>(*params)) {
         command_complete(*opcode, hci::Status::kSuccess);
         handle_user_confirmation(cmd->bdaddr, true);
       }
       break;
     case hci::op::kUserConfirmationRequestNegativeReply:
-      if (auto cmd = hci::UserConfirmationRequestNegativeReplyCmd::decode(*params)) {
+      if (auto cmd = pdu::decode<hci::UserConfirmationRequestNegativeReplyCmd>(*params)) {
         command_complete(*opcode, hci::Status::kSuccess);
         handle_user_confirmation(cmd->bdaddr, false);
       }
       break;
     case hci::op::kSetConnectionEncryption:
-      if (auto cmd = hci::SetConnectionEncryptionCmd::decode(*params)) handle_set_encryption(*cmd);
+      if (auto cmd = pdu::decode<hci::SetConnectionEncryptionCmd>(*params))
+        handle_set_encryption(*cmd);
       break;
     case hci::op::kRemoteNameRequest:
-      if (auto cmd = hci::RemoteNameRequestCmd::decode(*params)) handle_remote_name_request(*cmd);
+      if (auto cmd = pdu::decode<hci::RemoteNameRequestCmd>(*params))
+        handle_remote_name_request(*cmd);
       break;
     default:
       command_status(*opcode, hci::Status::kSuccess);
@@ -242,18 +244,18 @@ void Controller::handle_inquiry(const hci::InquiryCmd& cmd) {
           evt.bdaddr = response.address;
           evt.class_of_device = response.class_of_device;
           evt.name = response.name;
-          send_event(evt.encode());
+          send_event(hci::encode(evt));
         } else {
           hci::InquiryResultEvt evt;
           evt.bdaddr = response.address;
           evt.class_of_device = response.class_of_device;
-          send_event(evt.encode());
+          send_event(hci::encode(evt));
         }
       },
       [this] {
         if (!inquiring_) return;
         inquiring_ = false;
-        send_event(hci::InquiryCompleteEvt{hci::Status::kSuccess}.encode());
+        send_event(hci::encode(hci::InquiryCompleteEvt{hci::Status::kSuccess}));
       });
 }
 
@@ -274,7 +276,7 @@ void Controller::handle_create_connection(const hci::CreateConnectionCmd& cmd) {
       hci::ConnectionCompleteEvt evt;
       evt.status = hci::Status::kPageTimeout;
       evt.bdaddr = target;
-      send_event(evt.encode());
+      send_event(hci::encode(evt));
     });
     return;
   }
@@ -284,7 +286,7 @@ void Controller::handle_create_connection(const hci::CreateConnectionCmd& cmd) {
                    hci::ConnectionCompleteEvt evt;
                    evt.status = hci::Status::kPageTimeout;
                    evt.bdaddr = target;
-                   send_event(evt.encode());
+                   send_event(hci::encode(evt));
                    return;
                  }
                  // on_link_established(initiator=true) already created the
@@ -320,7 +322,7 @@ void Controller::on_lmp_host_connection_req(Link& link) {
   // the peer's class as seen during inquiry would require caching — use the
   // generic value the host mostly ignores.
   evt.class_of_device = ClassOfDevice(0);
-  send_event(evt.encode());
+  send_event(hci::encode(evt));
   const hci::ConnectionHandle handle = link.handle;
   SimTime accept_window = config_.connection_accept_timeout;
   // The accept timer expires before the host had any real chance to answer.
@@ -329,9 +331,9 @@ void Controller::on_lmp_host_connection_req(Link& link) {
     Link* l = link_by_handle(handle);
     if (l == nullptr || l->state != LinkState::kHostAcceptPending) return;
     send_lmp(*l, LmpOpcode::kNotAccepted,
-             LmpNotAccepted{LmpOpcode::kHostConnectionReq,
-                            static_cast<std::uint8_t>(hci::Status::kConnectionAcceptTimeout)}
-                 .encode());
+             pdu::encode(LmpNotAccepted{
+                 LmpOpcode::kHostConnectionReq,
+                 static_cast<std::uint8_t>(hci::Status::kConnectionAcceptTimeout)}));
     teardown_link(*l, hci::Status::kConnectionAcceptTimeout, true);
   });
 }
@@ -348,7 +350,7 @@ void Controller::handle_accept_connection(const hci::AcceptConnectionRequestCmd&
   evt.status = hci::Status::kSuccess;
   evt.handle = link->handle;
   evt.bdaddr = link->peer;
-  send_event(evt.encode());
+  send_event(hci::encode(evt));
 }
 
 void Controller::handle_reject_connection(const hci::RejectConnectionRequestCmd& cmd) {
@@ -357,8 +359,8 @@ void Controller::handle_reject_connection(const hci::RejectConnectionRequestCmd&
   if (link == nullptr || link->state != LinkState::kHostAcceptPending) return;
   link->accept_timer.cancel();
   send_lmp(*link, LmpOpcode::kNotAccepted,
-           LmpNotAccepted{LmpOpcode::kHostConnectionReq, static_cast<std::uint8_t>(cmd.reason)}
-               .encode());
+           pdu::encode(LmpNotAccepted{LmpOpcode::kHostConnectionReq,
+                                      static_cast<std::uint8_t>(cmd.reason)}));
   const hci::ConnectionHandle handle = link->handle;
   medium_.close_link(link->radio_link, this, static_cast<std::uint8_t>(cmd.reason));
   links_.erase(handle);  // responder raises no Connection_Complete on reject
@@ -398,7 +400,7 @@ void Controller::on_link_closed(radio::LinkId link_id, std::uint8_t reason) {
     evt.status = reason == 0 ? hci::Status::kConnectionTimeout
                              : static_cast<hci::Status>(reason);
     evt.bdaddr = peer;
-    send_event(evt.encode());
+    send_event(hci::encode(evt));
     return;
   }
   if (state != LinkState::kConnected) return;  // responder-side pre-accept states
@@ -407,12 +409,12 @@ void Controller::on_link_closed(radio::LinkId link_id, std::uint8_t reason) {
     hci::AuthenticationCompleteEvt auth_evt;
     auth_evt.status = static_cast<hci::Status>(reason);
     auth_evt.handle = handle;
-    send_event(auth_evt.encode());
+    send_event(hci::encode(auth_evt));
   }
   hci::DisconnectionCompleteEvt evt;
   evt.handle = handle;
   evt.reason = static_cast<hci::Status>(reason);
-  send_event(evt.encode());
+  send_event(hci::encode(evt));
 }
 
 void Controller::handle_authentication_requested(const hci::AuthenticationRequestedCmd& cmd) {
@@ -431,7 +433,7 @@ void Controller::handle_authentication_requested(const hci::AuthenticationReques
                   "controller asks its host for the bond key");
   }
   // Pull the link key from the host — the moment the key crosses the HCI.
-  send_event(hci::LinkKeyRequestEvt{link->peer}.encode());
+  send_event(hci::encode(hci::LinkKeyRequestEvt{link->peer}));
 }
 
 void Controller::handle_link_key_reply(const hci::LinkKeyRequestReplyCmd& cmd) {
@@ -485,10 +487,9 @@ void Controller::handle_link_key_negative_reply(const hci::LinkKeyRequestNegativ
     link->have_pending_au_rand = false;
     link->auth = AuthState::kIdle;
     send_lmp(*link, LmpOpcode::kNotAccepted,
-             LmpNotAccepted{link->pending_au_rand_is_sc ? LmpOpcode::kAuRandSc
-                                                        : LmpOpcode::kAuRand,
-                            static_cast<std::uint8_t>(hci::Status::kPinOrKeyMissing)}
-                 .encode());
+             pdu::encode(LmpNotAccepted{link->pending_au_rand_is_sc ? LmpOpcode::kAuRandSc
+                                                                    : LmpOpcode::kAuRand,
+                                        static_cast<std::uint8_t>(hci::Status::kPinOrKeyMissing)}));
     link->pending_au_rand_is_sc = false;
   }
 }
@@ -515,7 +516,7 @@ void Controller::handle_remote_name_request(const hci::RemoteNameRequestCmd& cmd
     hci::RemoteNameRequestCompleteEvt evt;
     evt.status = hci::Status::kPageTimeout;
     evt.bdaddr = cmd.bdaddr;
-    send_event(evt.encode());
+    send_event(hci::encode(evt));
     return;
   }
   send_lmp(*link, LmpOpcode::kNameReq);
@@ -564,7 +565,7 @@ void Controller::on_lmp(Link& link, const LmpPdu& pdu) {
       if (!pdu.payload.empty()) on_lmp_accepted(link, static_cast<LmpOpcode>(pdu.payload[0]));
       break;
     case LmpOpcode::kNotAccepted:
-      if (auto p = LmpNotAccepted::decode(pdu.payload)) on_lmp_not_accepted(link, *p);
+      if (auto p = pdu::decode<LmpNotAccepted>(pdu.payload)) on_lmp_not_accepted(link, *p);
       break;
     case LmpOpcode::kAuRand: on_lmp_au_rand(link, to_rand128(pdu.payload)); break;
     case LmpOpcode::kSres: {
@@ -575,13 +576,13 @@ void Controller::on_lmp(Link& link, const LmpPdu& pdu) {
       break;
     }
     case LmpOpcode::kIoCapabilityReq:
-      if (auto p = LmpIoCap::decode(pdu.payload)) on_lmp_io_cap_req(link, *p);
+      if (auto p = pdu::decode<LmpIoCap>(pdu.payload)) on_lmp_io_cap_req(link, *p);
       break;
     case LmpOpcode::kIoCapabilityRes:
-      if (auto p = LmpIoCap::decode(pdu.payload)) on_lmp_io_cap_res(link, *p);
+      if (auto p = pdu::decode<LmpIoCap>(pdu.payload)) on_lmp_io_cap_res(link, *p);
       break;
     case LmpOpcode::kEncapsulatedPublicKey:
-      if (auto p = LmpPublicKey::decode(pdu.payload)) on_lmp_public_key(link, *p);
+      if (auto p = pdu::decode<LmpPublicKey>(pdu.payload)) on_lmp_public_key(link, *p);
       break;
     case LmpOpcode::kSimplePairingConfirm: {
       crypto::LinkKey commitment{};
@@ -621,7 +622,7 @@ void Controller::on_lmp(Link& link, const LmpPdu& pdu) {
       hci::RemoteNameRequestCompleteEvt evt;
       evt.bdaddr = link.peer;
       evt.remote_name.assign(pdu.payload.begin(), pdu.payload.end());
-      send_event(evt.encode());
+      send_event(hci::encode(evt));
       break;
     }
     case LmpOpcode::kSetupComplete:
@@ -650,7 +651,7 @@ void Controller::on_lmp_accepted(Link& link, LmpOpcode about) {
       evt.status = hci::Status::kSuccess;
       evt.handle = link.handle;
       evt.bdaddr = link.peer;
-      send_event(evt.encode());
+      send_event(hci::encode(evt));
       break;
     }
     case LmpOpcode::kAuRand:
@@ -683,7 +684,7 @@ void Controller::on_lmp_accepted(Link& link, LmpOpcode about) {
       hci::EncryptionChangeEvt evt;
       evt.handle = link.handle;
       evt.encryption_enabled = 1;
-      send_event(evt.encode());
+      send_event(hci::encode(evt));
       break;
     }
     default: break;
@@ -697,7 +698,7 @@ void Controller::on_lmp_not_accepted(Link& link, const LmpNotAccepted& pdu) {
       hci::ConnectionCompleteEvt evt;
       evt.status = static_cast<hci::Status>(pdu.reason);
       evt.bdaddr = link.peer;
-      send_event(evt.encode());
+      send_event(hci::encode(evt));
       medium_.close_link(link.radio_link, this, pdu.reason);
       links_.erase(link.handle);
       break;
@@ -789,9 +790,9 @@ void Controller::on_lmp_au_rand_sc(Link& link, const crypto::Rand128& rand) {
   if (!config_.secure_connections) {
     // We cannot run the SC procedure: reject, the verifier falls back to E1.
     send_lmp(link, LmpOpcode::kNotAccepted,
-             LmpNotAccepted{LmpOpcode::kAuRandSc,
-                            static_cast<std::uint8_t>(hci::Status::kPairingNotAllowed)}
-                 .encode());
+             pdu::encode(LmpNotAccepted{
+                 LmpOpcode::kAuRandSc,
+                 static_cast<std::uint8_t>(hci::Status::kPairingNotAllowed)}));
     return;
   }
   if (link.have_key) {
@@ -802,7 +803,7 @@ void Controller::on_lmp_au_rand_sc(Link& link, const crypto::Rand128& rand) {
   link.have_pending_au_rand = true;
   link.pending_au_rand_is_sc = true;
   link.auth = AuthState::kClaimWaitLocalKey;
-  send_event(hci::LinkKeyRequestEvt{link.peer}.encode());
+  send_event(hci::encode(hci::LinkKeyRequestEvt{link.peer}));
 }
 
 void Controller::answer_sc_challenge(Link& link, const crypto::Rand128& rand) {
@@ -831,9 +832,9 @@ void Controller::on_lmp_sres_sc(Link& link, BytesView payload) {
   if (!ct_equal(BytesView(out.sres_slave.data(), out.sres_slave.size()),
                 BytesView(sres_s->data(), sres_s->size()))) {
     send_lmp(link, LmpOpcode::kNotAccepted,
-             LmpNotAccepted{LmpOpcode::kSresSc,
-                            static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}
-                 .encode());
+             pdu::encode(LmpNotAccepted{
+                 LmpOpcode::kSresSc,
+                 static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}));
     auth_failed(link, hci::Status::kAuthenticationFailure);
     return;
   }
@@ -860,7 +861,7 @@ void Controller::on_lmp_au_rand(Link& link, const crypto::Rand128& rand) {
   link.pending_au_rand = rand;
   link.have_pending_au_rand = true;
   link.auth = AuthState::kClaimWaitLocalKey;
-  send_event(hci::LinkKeyRequestEvt{link.peer}.encode());
+  send_event(hci::encode(hci::LinkKeyRequestEvt{link.peer}));
 }
 
 void Controller::on_lmp_sres(Link& link, const crypto::Sres& sres) {
@@ -869,9 +870,9 @@ void Controller::on_lmp_sres(Link& link, const crypto::Sres& sres) {
     if (!ct_equal(BytesView(sres.data(), sres.size()),
                   BytesView(link.sc_expected_sres.data(), link.sc_expected_sres.size()))) {
       send_lmp(link, LmpOpcode::kNotAccepted,
-               LmpNotAccepted{LmpOpcode::kSres,
-                              static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}
-                   .encode());
+               pdu::encode(LmpNotAccepted{
+                   LmpOpcode::kSres,
+                   static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}));
       auth_failed(link, hci::Status::kAuthenticationFailure);
       return;
     }
@@ -884,9 +885,9 @@ void Controller::on_lmp_sres(Link& link, const crypto::Sres& sres) {
   if (!ct_equal(BytesView(sres.data(), sres.size()),
                 BytesView(expected.sres.data(), expected.sres.size()))) {
     send_lmp(link, LmpOpcode::kNotAccepted,
-             LmpNotAccepted{LmpOpcode::kAuRand,
-                            static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}
-                 .encode());
+             pdu::encode(LmpNotAccepted{
+                 LmpOpcode::kAuRand,
+                 static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}));
     auth_failed(link, hci::Status::kAuthenticationFailure);
     return;
   }
@@ -922,7 +923,7 @@ void Controller::auth_failed(Link& link, hci::Status status) {
     hci::AuthenticationCompleteEvt evt;
     evt.status = status;
     evt.handle = link.handle;
-    send_event(evt.encode());
+    send_event(hci::encode(evt));
   }
 }
 
@@ -938,7 +939,7 @@ void Controller::auth_succeeded(Link& link) {
     hci::AuthenticationCompleteEvt evt;
     evt.status = hci::Status::kSuccess;
     evt.handle = link.handle;
-    send_event(evt.encode());
+    send_event(hci::encode(evt));
   }
 }
 
@@ -970,7 +971,7 @@ void Controller::start_pairing_as_initiator(Link& link) {
       config_.secure_connections ? &crypto::EcCurve::p256() : &crypto::EcCurve::p192();
   obs_begin_pair(link, config_.secure_connections ? "ssp initiator (P-256)"
                                                   : "ssp initiator (P-192)");
-  send_event(hci::IoCapabilityRequestEvt{link.peer}.encode());
+  send_event(hci::encode(hci::IoCapabilityRequestEvt{link.peer}));
 }
 
 void Controller::handle_io_capability_reply(const hci::IoCapabilityRequestReplyCmd& cmd) {
@@ -985,17 +986,17 @@ void Controller::handle_io_capability_reply(const hci::IoCapabilityRequestReplyC
   } else {
     // Responder: answer the peer's io_cap_req.
     send_lmp(*link, LmpOpcode::kIoCapabilityRes,
-             LmpIoCap{link->ssp->local_iocap.io_capability, link->ssp->local_iocap.oob_data_present,
-                      link->ssp->local_iocap.auth_req}
-                 .encode());
+             pdu::encode(LmpIoCap{
+                 link->ssp->local_iocap.io_capability, link->ssp->local_iocap.oob_data_present,
+                 link->ssp->local_iocap.auth_req}));
   }
 }
 
 void Controller::continue_initiator_after_iocap(Link& link) {
   send_lmp(link, LmpOpcode::kIoCapabilityReq,
-           LmpIoCap{link.ssp->local_iocap.io_capability, link.ssp->local_iocap.oob_data_present,
-                    link.ssp->local_iocap.auth_req}
-               .encode());
+           pdu::encode(LmpIoCap{
+               link.ssp->local_iocap.io_capability, link.ssp->local_iocap.oob_data_present,
+               link.ssp->local_iocap.auth_req}));
   arm_lmp_timer(link);
 }
 
@@ -1004,9 +1005,9 @@ void Controller::on_lmp_io_cap_req(Link& link, const LmpIoCap& iocap) {
   // initiator falls back to legacy PIN pairing.
   if (!simple_pairing_mode_) {
     send_lmp(link, LmpOpcode::kNotAccepted,
-             LmpNotAccepted{LmpOpcode::kIoCapabilityReq,
-                            static_cast<std::uint8_t>(hci::Status::kPairingNotAllowed)}
-                 .encode());
+             pdu::encode(LmpNotAccepted{
+                 LmpOpcode::kIoCapabilityReq,
+                 static_cast<std::uint8_t>(hci::Status::kPairingNotAllowed)}));
     return;
   }
   // Peer initiates pairing toward us (we are the responder).
@@ -1025,8 +1026,8 @@ void Controller::on_lmp_io_cap_req(Link& link, const LmpIoCap& iocap) {
   response.io_capability = static_cast<hci::IoCapability>(iocap.io_capability);
   response.oob_data_present = iocap.oob_data_present;
   response.authentication_requirements = iocap.authentication_requirements;
-  send_event(response.encode());
-  send_event(hci::IoCapabilityRequestEvt{link.peer}.encode());
+  send_event(hci::encode(response));
+  send_event(hci::encode(hci::IoCapabilityRequestEvt{link.peer}));
 }
 
 void Controller::on_lmp_io_cap_res(Link& link, const LmpIoCap& iocap) {
@@ -1039,7 +1040,7 @@ void Controller::on_lmp_io_cap_res(Link& link, const LmpIoCap& iocap) {
   response.io_capability = static_cast<hci::IoCapability>(iocap.io_capability);
   response.oob_data_present = iocap.oob_data_present;
   response.authentication_requirements = iocap.authentication_requirements;
-  send_event(response.encode());
+  send_event(hci::encode(response));
   send_public_key(link);
 }
 
@@ -1049,7 +1050,7 @@ void Controller::send_public_key(Link& link) {
   LmpPublicKey pdu;
   pdu.x = crypto::coordinate_bytes(*ssp.curve, ssp.local_keypair.public_key.x);
   pdu.y = crypto::coordinate_bytes(*ssp.curve, ssp.local_keypair.public_key.y);
-  send_lmp(link, LmpOpcode::kEncapsulatedPublicKey, pdu.encode());
+  send_lmp(link, LmpOpcode::kEncapsulatedPublicKey, pdu::encode(pdu));
   arm_lmp_timer(link);
 }
 
@@ -1070,9 +1071,9 @@ void Controller::on_lmp_public_key(Link& link, const LmpPublicKey& key) {
   if (!ssp.curve->on_curve(ssp.peer_public)) {
     // Invalid-curve defense: refuse off-curve points outright.
     send_lmp(link, LmpOpcode::kNotAccepted,
-             LmpNotAccepted{LmpOpcode::kEncapsulatedPublicKey,
-                            static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}
-                 .encode());
+             pdu::encode(LmpNotAccepted{
+                 LmpOpcode::kEncapsulatedPublicKey,
+                 static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}));
     finish_pairing(link, false);
     return;
   }
@@ -1084,7 +1085,7 @@ void Controller::on_lmp_public_key(Link& link, const LmpPublicKey& key) {
     LmpPublicKey reply;
     reply.x = crypto::coordinate_bytes(*ssp.curve, ssp.local_keypair.public_key.x);
     reply.y = crypto::coordinate_bytes(*ssp.curve, ssp.local_keypair.public_key.y);
-    send_lmp(link, LmpOpcode::kEncapsulatedPublicKey, reply.encode());
+    send_lmp(link, LmpOpcode::kEncapsulatedPublicKey, pdu::encode(reply));
 
     auto dh = crypto::ecdh_shared_secret(*ssp.curve, ssp.local_keypair.private_key,
                                          ssp.peer_public);
@@ -1145,9 +1146,9 @@ void Controller::on_lmp_sp_number(Link& link, const crypto::Rand128& nonce) {
       !ct_equal(BytesView(expected.data(), expected.size()),
                 BytesView(ssp.peer_commitment.data(), ssp.peer_commitment.size()))) {
     send_lmp(link, LmpOpcode::kNotAccepted,
-             LmpNotAccepted{LmpOpcode::kSimplePairingNumber,
-                            static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}
-                 .encode());
+             pdu::encode(LmpNotAccepted{
+                 LmpOpcode::kSimplePairingNumber,
+                 static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}));
     finish_pairing(link, false);
     return;
   }
@@ -1170,7 +1171,7 @@ void Controller::maybe_raise_user_confirmation(Link& link) {
   hci::UserConfirmationRequestEvt evt;
   evt.bdaddr = link.peer;
   evt.numeric_value = crypto::g_display(value);
-  send_event(evt.encode());
+  send_event(hci::encode(evt));
 }
 
 void Controller::handle_user_confirmation(const BdAddr& addr, bool accepted) {
@@ -1178,9 +1179,9 @@ void Controller::handle_user_confirmation(const BdAddr& addr, bool accepted) {
   if (link == nullptr || link->ssp == nullptr) return;
   if (!accepted) {
     send_lmp(*link, LmpOpcode::kNotAccepted,
-             LmpNotAccepted{LmpOpcode::kSimplePairingNumber,
-                            static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}
-                 .encode());
+             pdu::encode(LmpNotAccepted{
+                 LmpOpcode::kSimplePairingNumber,
+                 static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}));
     finish_pairing(*link, false);
     return;
   }
@@ -1228,9 +1229,9 @@ void Controller::verify_peer_dhkey_check(Link& link, const crypto::LinkKey& chec
   if (!ct_equal(BytesView(expected.data(), expected.size()),
                 BytesView(check.data(), check.size()))) {
     send_lmp(link, LmpOpcode::kNotAccepted,
-             LmpNotAccepted{LmpOpcode::kDhkeyCheck,
-                            static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}
-                 .encode());
+             pdu::encode(LmpNotAccepted{
+                 LmpOpcode::kDhkeyCheck,
+                 static_cast<std::uint8_t>(hci::Status::kAuthenticationFailure)}));
     finish_pairing(link, false);
     return;
   }
@@ -1267,7 +1268,7 @@ void Controller::finish_pairing(Link& link, bool success) {
     hci::SimplePairingCompleteEvt evt;
     evt.status = hci::Status::kAuthenticationFailure;
     evt.bdaddr = link.peer;
-    send_event(evt.encode());
+    send_event(hci::encode(evt));
     auth_failed(link, hci::Status::kAuthenticationFailure);
     return;
   }
@@ -1282,7 +1283,7 @@ void Controller::finish_pairing(Link& link, bool success) {
   hci::SimplePairingCompleteEvt pairing_evt;
   pairing_evt.status = hci::Status::kSuccess;
   pairing_evt.bdaddr = link.peer;
-  send_event(pairing_evt.encode());
+  send_event(hci::encode(pairing_evt));
 
   obs_end_pair(link, true);
   if (obs_ != nullptr) {
@@ -1295,7 +1296,7 @@ void Controller::finish_pairing(Link& link, bool success) {
   key_evt.bdaddr = link.peer;
   key_evt.link_key = link.key;
   key_evt.key_type = derived_key_type(link);
-  send_event(key_evt.encode());
+  send_event(hci::encode(key_evt));
 
   const bool was_initiator = ssp.initiator;
   link.ssp.reset();
@@ -1323,7 +1324,7 @@ void Controller::start_legacy_pairing_as_initiator(Link& link) {
   link.legacy = std::make_unique<LegacyContext>();
   link.legacy->initiator = true;
   obs_begin_pair(link, "legacy pin initiator");
-  send_event(hci::PinCodeRequestEvt{link.peer}.encode());
+  send_event(hci::encode(hci::PinCodeRequestEvt{link.peer}));
 }
 
 void Controller::handle_pin_code_reply(const hci::PinCodeRequestReplyCmd& cmd) {
@@ -1353,9 +1354,8 @@ void Controller::handle_pin_code_negative_reply(const BdAddr& addr) {
   Link* link = link_by_peer(addr);
   if (link == nullptr || link->legacy == nullptr) return;
   send_lmp(*link, LmpOpcode::kNotAccepted,
-           LmpNotAccepted{LmpOpcode::kInRand,
-                          static_cast<std::uint8_t>(hci::Status::kPairingNotAllowed)}
-               .encode());
+           pdu::encode(LmpNotAccepted{LmpOpcode::kInRand,
+                                      static_cast<std::uint8_t>(hci::Status::kPairingNotAllowed)}));
   link->legacy.reset();
   obs_end_pair(*link, false);
   auth_failed(*link, hci::Status::kPairingNotAllowed);
@@ -1370,7 +1370,7 @@ void Controller::on_lmp_in_rand(Link& link, const crypto::Rand128& in_rand) {
   link.legacy->in_rand = in_rand;
   link.legacy->have_in_rand = true;
   obs_begin_pair(link, "legacy pin responder");
-  send_event(hci::PinCodeRequestEvt{link.peer}.encode());
+  send_event(hci::encode(hci::PinCodeRequestEvt{link.peer}));
 }
 
 void Controller::send_comb_key_contribution(Link& link) {
@@ -1413,7 +1413,7 @@ void Controller::finish_legacy_pairing(Link& link, const crypto::LinkKey& peer_l
   key_evt.bdaddr = link.peer;
   key_evt.link_key = link.key;
   key_evt.key_type = crypto::LinkKeyType::kCombination;
-  send_event(key_evt.encode());
+  send_event(hci::encode(key_evt));
 
   const bool was_initiator = legacy.initiator;
   link.legacy.reset();
@@ -1433,9 +1433,8 @@ void Controller::on_lmp_encryption_mode_req(Link& link) {
 void Controller::on_lmp_start_encryption_req(Link& link, const crypto::Rand128& en_rand) {
   if (!link.have_key || !link.have_aco) {
     send_lmp(link, LmpOpcode::kNotAccepted,
-             LmpNotAccepted{LmpOpcode::kStartEncryptionReq,
-                            static_cast<std::uint8_t>(hci::Status::kPinOrKeyMissing)}
-                 .encode());
+             pdu::encode(LmpNotAccepted{LmpOpcode::kStartEncryptionReq,
+                                        static_cast<std::uint8_t>(hci::Status::kPinOrKeyMissing)}));
     return;
   }
   link.enc_key = crypto::e3(link.key, en_rand, link.aco);
@@ -1451,7 +1450,7 @@ void Controller::on_lmp_start_encryption_req(Link& link, const crypto::Rand128& 
   hci::EncryptionChangeEvt evt;
   evt.handle = link.handle;
   evt.encryption_enabled = 1;
-  send_event(evt.encode());
+  send_event(hci::encode(evt));
 }
 
 // ---------------------------------------------------------------------------
@@ -1639,7 +1638,7 @@ void Controller::lmp_timeout(hci::ConnectionHandle handle) {
     hci::AuthenticationCompleteEvt evt;
     evt.status = hci::Status::kLmpResponseTimeout;
     evt.handle = handle;
-    send_event(evt.encode());
+    send_event(hci::encode(evt));
     link->auth_requested_by_host = false;
   }
   teardown_link(*link, hci::Status::kConnectionTimeout, true);
@@ -1675,14 +1674,14 @@ void Controller::teardown_link(Link& link, hci::Status reason, bool notify_peer)
     hci::ConnectionCompleteEvt evt;
     evt.status = reason;
     evt.bdaddr = peer;
-    send_event(evt.encode());
+    send_event(hci::encode(evt));
     return;
   }
   if (state == LinkState::kConnected) {
     hci::DisconnectionCompleteEvt evt;
     evt.handle = handle;
     evt.reason = reason;
-    send_event(evt.encode());
+    send_event(hci::encode(evt));
   }
 }
 

@@ -66,51 +66,4 @@ std::optional<Bytes> parse_acl_air_frame(BytesView frame) {
   return to_bytes(r.rest());
 }
 
-Bytes LmpIoCap::encode() const {
-  ByteWriter w;
-  w.u8(io_capability).u8(oob_data_present).u8(authentication_requirements);
-  return std::move(w).take();
-}
-
-std::optional<LmpIoCap> LmpIoCap::decode(BytesView payload) {
-  ByteReader r(payload);
-  auto io = r.u8();
-  auto oob = r.u8();
-  auto auth = r.u8();
-  if (!io || !oob || !auth) return std::nullopt;
-  return LmpIoCap{*io, *oob, *auth};
-}
-
-Bytes LmpPublicKey::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(x.size()));
-  w.raw(x);
-  w.raw(y);
-  return std::move(w).take();
-}
-
-std::optional<LmpPublicKey> LmpPublicKey::decode(BytesView payload) {
-  ByteReader r(payload);
-  auto width = r.u8();
-  if (!width || (*width != 24 && *width != 32)) return std::nullopt;
-  auto x = r.bytes(*width);
-  auto y = r.bytes(*width);
-  if (!x || !y) return std::nullopt;
-  return LmpPublicKey{std::move(*x), std::move(*y)};
-}
-
-Bytes LmpNotAccepted::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(rejected_opcode)).u8(reason);
-  return std::move(w).take();
-}
-
-std::optional<LmpNotAccepted> LmpNotAccepted::decode(BytesView payload) {
-  ByteReader r(payload);
-  auto op = r.u8();
-  auto reason = r.u8();
-  if (!op || !reason) return std::nullopt;
-  return LmpNotAccepted{static_cast<LmpOpcode>(*op), *reason};
-}
-
 }  // namespace blap::controller

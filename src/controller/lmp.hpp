@@ -10,12 +10,14 @@
 // Air frames are framed as [channel u8][payload]: channel 0 = LMP, 1 = ACL.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 
 #include "common/bdaddr.hpp"
 #include "common/bytes.hpp"
 #include "crypto/keys.hpp"
+#include "hci/pdu.hpp"
 
 namespace blap::controller {
 
@@ -67,31 +69,38 @@ struct LmpPdu {
 /// If `frame` is an ACL air frame, return its payload.
 [[nodiscard]] std::optional<Bytes> parse_acl_air_frame(BytesView frame);
 
-// --- typed payload helpers ---------------------------------------------------
+// --- typed payloads (field lists in hci/pdu.hpp kinds) ------------------------
+// kOpcodes names the LMP PDUs that carry each payload.
 
 struct LmpIoCap {
   std::uint8_t io_capability = 0;
   std::uint8_t oob_data_present = 0;
   std::uint8_t authentication_requirements = 0;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static std::optional<LmpIoCap> decode(BytesView payload);
+  static constexpr std::array kOpcodes{LmpOpcode::kIoCapabilityReq, LmpOpcode::kIoCapabilityRes};
+  static constexpr std::tuple kFields{pdu::le(&LmpIoCap::io_capability),
+                                      pdu::le(&LmpIoCap::oob_data_present),
+                                      pdu::le(&LmpIoCap::authentication_requirements)};
 };
 
 struct LmpPublicKey {
   Bytes x;  // big-endian coordinate at curve width
   Bytes y;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static std::optional<LmpPublicKey> decode(BytesView payload);
+  static constexpr std::array kOpcodes{LmpOpcode::kEncapsulatedPublicKey};
+  static constexpr std::tuple kFields{pdu::ecc_point(&LmpPublicKey::x, &LmpPublicKey::y)};
 };
 
 struct LmpNotAccepted {
   LmpOpcode rejected_opcode = LmpOpcode::kPing;
   std::uint8_t reason = 0;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static std::optional<LmpNotAccepted> decode(BytesView payload);
+  static constexpr std::array kOpcodes{LmpOpcode::kNotAccepted};
+  static constexpr std::tuple kFields{pdu::le(&LmpNotAccepted::rejected_opcode),
+                                      pdu::le(&LmpNotAccepted::reason)};
 };
+
+/// Every typed LMP payload, for the codec harness and its tests.
+using LmpPayloads = pdu::List<LmpIoCap, LmpPublicKey, LmpNotAccepted>;
 
 }  // namespace blap::controller

@@ -1,9 +1,7 @@
 #include "fuzz/codec_harness.hpp"
 
 #include <algorithm>
-
-#include "hci/commands.hpp"
-#include "hci/events.hpp"
+#include <type_traits>
 
 namespace blap::fuzz {
 namespace {
@@ -19,30 +17,49 @@ std::uint64_t label_hash(const char* label) {
   return h;
 }
 
-/// Canonical idempotence over arbitrary accepted input: if T::decode accepts
-/// `params`, re-encoding must produce a wire form whose own parameter block
-/// decodes and re-encodes to the same wire — decode∘encode is a fixed point.
+/// Canonical idempotence over arbitrary accepted input: if T's decoder
+/// accepts `params`, re-encoding must produce a wire form whose own
+/// parameter block decodes and re-encodes to the same wire — decode∘encode
+/// is a fixed point. `feature` tags the "decoder `label` accepted" feature.
 template <typename T>
-CheckResult check_params_fixed_point(BytesView params, const char* label,
-                                     FeatureSink* sink) {
-  const auto decoded = T::decode(params);
+CheckResult check_fixed_point(BytesView params, const char* label, std::uint8_t feature,
+                              FeatureSink* sink) {
+  const auto decoded = pdu::decode<T>(params);
   if (!decoded) return {};
-  if (sink != nullptr) sink->hash(0x10, label_hash(label));
-  const Bytes wire = decoded->encode().to_wire();
-  const auto reparsed = hci::HciPacket::from_wire(wire);
-  if (!reparsed)
-    return check_fail(std::string(label) + ": canonical re-encode failed to reparse");
-  const auto canon_params = reparsed->type == hci::PacketType::kCommand
-                                ? reparsed->command_params()
-                                : reparsed->event_params();
+  if (sink != nullptr) sink->hash(feature, label_hash(label));
+  const Bytes wire = harness_detail::wire_of(*decoded);
+  const auto canon_params = harness_detail::params_in<T>(wire);
   if (!canon_params)
     return check_fail(std::string(label) + ": canonical re-encode lost its parameters");
-  const auto again = T::decode(*canon_params);
+  const auto again = pdu::decode<T>(*canon_params);
   if (!again)
     return check_fail(std::string(label) + ": canonical parameters failed to re-decode");
-  if (again->encode().to_wire() != wire)
+  if (harness_detail::wire_of(*again) != wire)
     return check_fail(std::string(label) + ": decode/encode is not a fixed point");
   return {};
+}
+
+template <typename T>
+bool carries(std::uint16_t code) {
+  if constexpr (harness_detail::LmpPayload<T>)
+    return std::ranges::find(T::kOpcodes, static_cast<controller::LmpOpcode>(code)) !=
+           T::kOpcodes.end();
+  else if constexpr (hci::Command<T>) return T::kOpcode == code;
+  else return T::kEventCode == code;
+}
+
+/// The fixed-point check for the typed PDU in `Ts` that carries `code`, if
+/// any; `label` is the code's spec name.
+template <typename... Ts>
+CheckResult probe(pdu::List<Ts...>, std::uint16_t code, BytesView params, const char* label,
+                  std::uint8_t feature, FeatureSink* sink) {
+  CheckResult r;
+  const auto one = [&](auto type) {
+    using T = typename decltype(type)::type;
+    if (r.ok && carries<T>(code)) r = check_fixed_point<T>(params, label, feature, sink);
+  };
+  (one(std::type_identity<Ts>{}), ...);
+  return r;
 }
 
 }  // namespace
@@ -89,124 +106,14 @@ CheckResult check_hci_wire(BytesView wire, FeatureSink* sink) {
       if (!params) return {};
       if (!opcode) return check_fail("HCI command: parameters without an opcode");
       if (sink != nullptr) sink->hash(0x14, *opcode);
-      using namespace hci;
-      CheckResult r;
-      const auto probe = [&](auto tag, const char* label) {
-        if (!r.ok) return;
-        using Cmd = decltype(tag);
-        r = check_params_fixed_point<Cmd>(*params, label, sink);
-      };
-      switch (*opcode) {
-        case op::kInquiry: probe(InquiryCmd{}, "InquiryCmd"); break;
-        case op::kCreateConnection:
-          probe(CreateConnectionCmd{}, "CreateConnectionCmd");
-          break;
-        case op::kDisconnect: probe(DisconnectCmd{}, "DisconnectCmd"); break;
-        case op::kAcceptConnectionRequest:
-          probe(AcceptConnectionRequestCmd{}, "AcceptConnectionRequestCmd");
-          break;
-        case op::kRejectConnectionRequest:
-          probe(RejectConnectionRequestCmd{}, "RejectConnectionRequestCmd");
-          break;
-        case op::kLinkKeyRequestReply:
-          probe(LinkKeyRequestReplyCmd{}, "LinkKeyRequestReplyCmd");
-          break;
-        case op::kLinkKeyRequestNegativeReply:
-          probe(LinkKeyRequestNegativeReplyCmd{}, "LinkKeyRequestNegativeReplyCmd");
-          break;
-        case op::kPinCodeRequestReply:
-          probe(PinCodeRequestReplyCmd{}, "PinCodeRequestReplyCmd");
-          break;
-        case op::kPinCodeRequestNegativeReply:
-          probe(PinCodeRequestNegativeReplyCmd{}, "PinCodeRequestNegativeReplyCmd");
-          break;
-        case op::kAuthenticationRequested:
-          probe(AuthenticationRequestedCmd{}, "AuthenticationRequestedCmd");
-          break;
-        case op::kSetConnectionEncryption:
-          probe(SetConnectionEncryptionCmd{}, "SetConnectionEncryptionCmd");
-          break;
-        case op::kRemoteNameRequest:
-          probe(RemoteNameRequestCmd{}, "RemoteNameRequestCmd");
-          break;
-        case op::kIoCapabilityRequestReply:
-          probe(IoCapabilityRequestReplyCmd{}, "IoCapabilityRequestReplyCmd");
-          break;
-        case op::kUserConfirmationRequestReply:
-          probe(UserConfirmationRequestReplyCmd{}, "UserConfirmationRequestReplyCmd");
-          break;
-        case op::kUserConfirmationRequestNegativeReply:
-          probe(UserConfirmationRequestNegativeReplyCmd{},
-                "UserConfirmationRequestNegativeReplyCmd");
-          break;
-        case op::kWriteScanEnable: probe(WriteScanEnableCmd{}, "WriteScanEnableCmd"); break;
-        case op::kWriteClassOfDevice:
-          probe(WriteClassOfDeviceCmd{}, "WriteClassOfDeviceCmd");
-          break;
-        case op::kWriteLocalName: probe(WriteLocalNameCmd{}, "WriteLocalNameCmd"); break;
-        case op::kWriteSimplePairingMode:
-          probe(WriteSimplePairingModeCmd{}, "WriteSimplePairingModeCmd");
-          break;
-        default: break;
-      }
-      return r;
+      return probe(hci::Commands{}, *opcode, *params, hci::opcode_name(*opcode), 0x10, sink);
     }
     case hci::PacketType::kEvent: {
       const auto code = packet->event_code();
       const auto params = packet->event_params();
       if (!params) return {};
       if (sink != nullptr) sink->hash(0x15, *code);
-      using namespace hci;
-      CheckResult r;
-      const auto probe = [&](auto tag, const char* label) {
-        if (!r.ok) return;
-        using Evt = decltype(tag);
-        r = check_params_fixed_point<Evt>(*params, label, sink);
-      };
-      switch (*code) {
-        case ev::kCommandComplete: probe(CommandCompleteEvt{}, "CommandCompleteEvt"); break;
-        case ev::kCommandStatus: probe(CommandStatusEvt{}, "CommandStatusEvt"); break;
-        case ev::kInquiryResult: probe(InquiryResultEvt{}, "InquiryResultEvt"); break;
-        case ev::kInquiryComplete: probe(InquiryCompleteEvt{}, "InquiryCompleteEvt"); break;
-        case ev::kExtendedInquiryResult:
-          probe(ExtendedInquiryResultEvt{}, "ExtendedInquiryResultEvt");
-          break;
-        case ev::kConnectionRequest:
-          probe(ConnectionRequestEvt{}, "ConnectionRequestEvt");
-          break;
-        case ev::kConnectionComplete:
-          probe(ConnectionCompleteEvt{}, "ConnectionCompleteEvt");
-          break;
-        case ev::kDisconnectionComplete:
-          probe(DisconnectionCompleteEvt{}, "DisconnectionCompleteEvt");
-          break;
-        case ev::kAuthenticationComplete:
-          probe(AuthenticationCompleteEvt{}, "AuthenticationCompleteEvt");
-          break;
-        case ev::kRemoteNameRequestComplete:
-          probe(RemoteNameRequestCompleteEvt{}, "RemoteNameRequestCompleteEvt");
-          break;
-        case ev::kEncryptionChange: probe(EncryptionChangeEvt{}, "EncryptionChangeEvt"); break;
-        case ev::kLinkKeyRequest: probe(LinkKeyRequestEvt{}, "LinkKeyRequestEvt"); break;
-        case ev::kLinkKeyNotification:
-          probe(LinkKeyNotificationEvt{}, "LinkKeyNotificationEvt");
-          break;
-        case ev::kIoCapabilityRequest:
-          probe(IoCapabilityRequestEvt{}, "IoCapabilityRequestEvt");
-          break;
-        case ev::kPinCodeRequest: probe(PinCodeRequestEvt{}, "PinCodeRequestEvt"); break;
-        case ev::kIoCapabilityResponse:
-          probe(IoCapabilityResponseEvt{}, "IoCapabilityResponseEvt");
-          break;
-        case ev::kUserConfirmationRequest:
-          probe(UserConfirmationRequestEvt{}, "UserConfirmationRequestEvt");
-          break;
-        case ev::kSimplePairingComplete:
-          probe(SimplePairingCompleteEvt{}, "SimplePairingCompleteEvt");
-          break;
-        default: break;
-      }
-      return r;
+      return probe(hci::Events{}, *code, *params, hci::event_name(*code), 0x10, sink);
     }
     case hci::PacketType::kAclData: {
       const auto handle = packet->acl_handle();
@@ -263,29 +170,8 @@ CheckResult check_lmp_frame(BytesView frame, FeatureSink* sink) {
     return check_fail("LMP: accepted frame did not re-encode identically");
 
   // Typed payload decoders: canonical fixed point for whatever they accept.
-  using controller::LmpOpcode;
-  const auto fixed_point = [&](auto decoded, const char* label) -> CheckResult {
-    if (!decoded) return {};
-    if (sink != nullptr) sink->hash(0x1C, label_hash(label));
-    const Bytes enc = decoded->encode();
-    const auto again = std::decay_t<decltype(*decoded)>::decode(enc);
-    if (!again)
-      return check_fail(std::string(label) + ": canonical payload failed to re-decode");
-    if (again->encode() != enc)
-      return check_fail(std::string(label) + ": decode/encode is not a fixed point");
-    return {};
-  };
-  switch (pdu->opcode) {
-    case LmpOpcode::kIoCapabilityReq:
-    case LmpOpcode::kIoCapabilityRes:
-      return fixed_point(controller::LmpIoCap::decode(pdu->payload), "LmpIoCap");
-    case LmpOpcode::kEncapsulatedPublicKey:
-      return fixed_point(controller::LmpPublicKey::decode(pdu->payload), "LmpPublicKey");
-    case LmpOpcode::kNotAccepted:
-      return fixed_point(controller::LmpNotAccepted::decode(pdu->payload),
-                         "LmpNotAccepted");
-    default: return {};
-  }
+  return probe(controller::LmpPayloads{}, static_cast<std::uint16_t>(pdu->opcode), pdu->payload,
+               controller::to_string(pdu->opcode), 0x1C, sink);
 }
 
 }  // namespace blap::fuzz

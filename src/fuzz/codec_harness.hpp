@@ -28,7 +28,8 @@
 
 #include "controller/lmp.hpp"
 #include "fuzz/coverage.hpp"
-#include "hci/packets.hpp"
+#include "hci/commands.hpp"
+#include "hci/events.hpp"
 
 namespace blap::fuzz {
 
@@ -52,25 +53,62 @@ struct CheckResult {
 
 namespace harness_detail {
 
-/// Shared body for commands and events: `params_of` projects the reparsed
-/// packet onto its parameter block.
-template <typename T, typename ParamsFn>
-CheckResult check_typed_round_trip(const T& value, const char* label, ParamsFn params_of) {
-  const hci::HciPacket packet = value.encode();
-  const Bytes wire = packet.to_wire();
+/// LMP payloads are checked on their own bytes, HCI PDUs on their H4 wire.
+template <typename T>
+concept LmpPayload = requires { T::kOpcodes; };
 
-  const auto reparsed = hci::HciPacket::from_wire(wire);
-  if (!reparsed) return check_fail(std::string(label) + ": own wire failed to reparse");
-  const std::optional<BytesView> params = params_of(*reparsed);
-  if (!params) return check_fail(std::string(label) + ": no parameter block in own wire");
+template <typename T>
+Bytes wire_of(const T& value) {
+  if constexpr (LmpPayload<T>) return pdu::encode(value);
+  else return hci::encode(value).to_wire();
+}
 
-  const auto decoded = T::decode(*params);
+template <typename T>
+const char* spec_name() {
+  if constexpr (LmpPayload<T>) return controller::to_string(T::kOpcodes[0]);
+  else if constexpr (hci::Command<T>) return hci::opcode_name(T::kOpcode);
+  else return hci::event_name(T::kEventCode);
+}
+
+/// The parameter block inside wire_of()'s bytes, found through the H4
+/// parser; nullopt if the wire does not reparse.
+template <typename T>
+std::optional<BytesView> params_in(BytesView wire) {
+  if constexpr (LmpPayload<T>) {
+    return wire;
+  } else {
+    const auto packet = hci::HciPacket::from_wire(wire);
+    if (!packet) return std::nullopt;
+    const auto params = hci::Command<T> ? packet->command_params() : packet->event_params();
+    if (!params) return std::nullopt;
+    // H4 type byte, then opcode + length (command) or code + length (event).
+    return wire.subspan(hci::Command<T> ? 4 : 3, params->size());
+  }
+}
+
+}  // namespace harness_detail
+
+/// Full typed-PDU contract: round trip + prefix rejection + padding
+/// tolerance, on the real H4 wire of an HCI PDU or the bytes of an LMP
+/// payload. A PDU with an open tail (Command_Complete's return parameters)
+/// accepts its own prefixes and absorbs padding, so it gets the round trip
+/// only. Failures name the PDU by its spec name.
+template <typename T>
+[[nodiscard]] CheckResult check_round_trip(const T& value) {
+  using harness_detail::wire_of;
+  const char* label = harness_detail::spec_name<T>();
+  const Bytes wire = wire_of(value);
+  const auto params = harness_detail::params_in<T>(wire);
+  if (!params) return check_fail(std::string(label) + ": own wire has no parameter block");
+
+  const auto decoded = pdu::decode<T>(*params);
   if (!decoded) return check_fail(std::string(label) + ": own parameters failed to decode");
-  if (decoded->encode().to_wire() != wire)
+  if (wire_of(*decoded) != wire)
     return check_fail(std::string(label) + ": re-encode differs from original wire");
+  if constexpr (pdu::kOpenTail<T>) return {};
 
   for (std::size_t cut = 0; cut < params->size(); ++cut) {
-    if (T::decode(params->subspan(0, cut)).has_value())
+    if (pdu::decode<T>(params->subspan(0, cut)).has_value())
       return check_fail(std::string(label) + ": strict prefix of " + std::to_string(cut) +
                         " bytes decoded");
   }
@@ -81,30 +119,11 @@ CheckResult check_typed_round_trip(const T& value, const char* label, ParamsFn p
   Bytes padded = to_bytes(*params);
   for (std::size_t i = 0; i < 9; ++i)
     padded.push_back(static_cast<std::uint8_t>(0xA5 + 17 * i));
-  if (const auto tolerant = T::decode(padded); tolerant.has_value()) {
-    if (tolerant->encode().to_wire() != wire)
+  if (const auto tolerant = pdu::decode<T>(padded); tolerant.has_value()) {
+    if (wire_of(*tolerant) != wire)
       return check_fail(std::string(label) + ": padded decode changed the value");
   }
   return {};
-}
-
-}  // namespace harness_detail
-
-/// Full command-struct contract: round trip + prefix rejection + padding
-/// tolerance, through the real H4 wire form.
-template <typename Cmd>
-[[nodiscard]] CheckResult check_command_round_trip(const Cmd& cmd,
-                                                   const char* label = "command") {
-  return harness_detail::check_typed_round_trip(
-      cmd, label, [](const hci::HciPacket& p) { return p.command_params(); });
-}
-
-/// Full event-struct contract (same shape as commands).
-template <typename Evt>
-[[nodiscard]] CheckResult check_event_round_trip(const Evt& evt,
-                                                 const char* label = "event") {
-  return harness_detail::check_typed_round_trip(
-      evt, label, [](const hci::HciPacket& p) { return p.event_params(); });
 }
 
 // --- arbitrary-input probes (fuzz targets) -----------------------------------

@@ -16,49 +16,12 @@ Bytes u16_le(std::uint16_t v) {
 
 Dictionary Dictionary::bluetooth() {
   Dictionary dict;
-  // HCI command opcodes, little-endian as they appear in the wire header.
+  // HCI command opcodes, little-endian as they appear in the wire header,
+  // then event codes, in the order of the name rows (sorted by code).
   // kLinkKeyRequestReply is the paper's "0b 04" signature byte pair.
-  constexpr std::uint16_t kOpcodes[] = {
-      hci::op::kInquiry,
-      hci::op::kInquiryCancel,
-      hci::op::kCreateConnection,
-      hci::op::kDisconnect,
-      hci::op::kAcceptConnectionRequest,
-      hci::op::kRejectConnectionRequest,
-      hci::op::kLinkKeyRequestReply,
-      hci::op::kLinkKeyRequestNegativeReply,
-      hci::op::kPinCodeRequestReply,
-      hci::op::kPinCodeRequestNegativeReply,
-      hci::op::kAuthenticationRequested,
-      hci::op::kSetConnectionEncryption,
-      hci::op::kRemoteNameRequest,
-      hci::op::kIoCapabilityRequestReply,
-      hci::op::kUserConfirmationRequestReply,
-      hci::op::kUserConfirmationRequestNegativeReply,
-      hci::op::kReset,
-      hci::op::kReadStoredLinkKey,
-      hci::op::kWriteLocalName,
-      hci::op::kWriteScanEnable,
-      hci::op::kWriteClassOfDevice,
-      hci::op::kWriteSimplePairingMode,
-      hci::op::kReadBdAddr,
-  };
-  for (const std::uint16_t op : kOpcodes) dict.tokens.push_back(u16_le(op));
-
-  // HCI event codes.
-  constexpr std::uint8_t kEvents[] = {
-      hci::ev::kInquiryComplete,      hci::ev::kInquiryResult,
-      hci::ev::kConnectionComplete,   hci::ev::kConnectionRequest,
-      hci::ev::kDisconnectionComplete, hci::ev::kAuthenticationComplete,
-      hci::ev::kRemoteNameRequestComplete, hci::ev::kEncryptionChange,
-      hci::ev::kCommandComplete,      hci::ev::kCommandStatus,
-      hci::ev::kReturnLinkKeys,       hci::ev::kPinCodeRequest,
-      hci::ev::kLinkKeyRequest,       hci::ev::kLinkKeyNotification,
-      hci::ev::kExtendedInquiryResult, hci::ev::kIoCapabilityRequest,
-      hci::ev::kIoCapabilityResponse, hci::ev::kUserConfirmationRequest,
-      hci::ev::kSimplePairingComplete,
-  };
-  for (const std::uint8_t code : kEvents) dict.tokens.push_back(Bytes{code});
+  for (const hci::CodeName& row : hci::kCommandNames) dict.tokens.push_back(u16_le(row.code));
+  for (const hci::CodeName& row : hci::kEventNames)
+    dict.tokens.push_back(Bytes{static_cast<std::uint8_t>(row.code)});
 
   // H4 packet-type indicators.
   for (std::uint8_t t = 0x01; t <= 0x04; ++t) dict.tokens.push_back(Bytes{t});

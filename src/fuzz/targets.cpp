@@ -21,14 +21,14 @@ Bytes wire_seed(const hci::HciPacket& packet) { return packet.to_wire(); }
 
 std::vector<Bytes> HciCodecTarget::seed_inputs() const {
   std::vector<Bytes> seeds;
-  seeds.push_back(wire_seed(hci::CreateConnectionCmd{}.encode()));
-  seeds.push_back(wire_seed(hci::DisconnectCmd{.handle = 0x0042}.encode()));
+  seeds.push_back(wire_seed(hci::encode(hci::CreateConnectionCmd{})));
+  seeds.push_back(wire_seed(hci::encode(hci::DisconnectCmd{.handle = 0x0042})));
   hci::ConnectionCompleteEvt complete;
   complete.handle = 0x0042;
-  seeds.push_back(wire_seed(complete.encode()));
+  seeds.push_back(wire_seed(hci::encode(complete)));
   hci::LinkKeyNotificationEvt key;
   key.link_key.fill(0x5A);
-  seeds.push_back(wire_seed(key.encode()));
+  seeds.push_back(wire_seed(hci::encode(key)));
   // ACL fragment with continuation flags set — exercises the PB/BC paths.
   seeds.push_back(
       wire_seed(hci::make_acl_fragment(0x0042, 1, 0, Bytes{'e', 'c', 'h', 'o'})));
@@ -52,7 +52,7 @@ std::vector<Bytes> LmpCodecTarget::seed_inputs() const {
 
   controller::LmpPdu io_cap;
   io_cap.opcode = controller::LmpOpcode::kIoCapabilityReq;
-  io_cap.payload = controller::LmpIoCap{.io_capability = 1}.encode();
+  io_cap.payload = pdu::encode(controller::LmpIoCap{.io_capability = 1});
   seeds.push_back(io_cap.to_air_frame());
 
   controller::LmpPublicKey key;
@@ -60,15 +60,14 @@ std::vector<Bytes> LmpCodecTarget::seed_inputs() const {
   key.y.assign(32, 0x22);
   controller::LmpPdu pubkey;
   pubkey.opcode = controller::LmpOpcode::kEncapsulatedPublicKey;
-  pubkey.payload = key.encode();
+  pubkey.payload = pdu::encode(key);
   seeds.push_back(pubkey.to_air_frame());
 
   controller::LmpPdu not_accepted;
   not_accepted.opcode = controller::LmpOpcode::kNotAccepted;
   not_accepted.payload =
-      controller::LmpNotAccepted{.rejected_opcode = controller::LmpOpcode::kAuRand,
-                                 .reason = 0x05}
-          .encode();
+      pdu::encode(controller::LmpNotAccepted{.rejected_opcode = controller::LmpOpcode::kAuRand,
+                                             .reason = 0x05});
   seeds.push_back(not_accepted.to_air_frame());
 
   seeds.push_back(controller::acl_air_frame(Bytes{'l', '2', 'c', 'a', 'p'}));
@@ -108,7 +107,7 @@ std::vector<Bytes> StackTarget::seed_inputs() const {
     hci::ConnectionHandle handle = 0x0001;
     if (!scenario_.target->host().acls().empty())
       handle = scenario_.target->host().acls().front().handle;
-    const Bytes wire = hci::DisconnectCmd{.handle = handle}.encode().to_wire();
+    const Bytes wire = hci::encode(hci::DisconnectCmd{.handle = handle}).to_wire();
     Bytes seed{1, static_cast<std::uint8_t>(wire.size() > 1 ? wire.size() - 1 : 0)};
     // Op payloads are HciPacket bodies, not H4 wire: drop the type byte.
     seed.insert(seed.end(), wire.begin() + 1, wire.end());
@@ -122,7 +121,7 @@ std::vector<Bytes> StackTarget::seed_inputs() const {
     hci::ConnectionCompleteEvt evt;
     evt.handle = 0x0099;
     evt.bdaddr = scenario_.accessory->address();
-    const Bytes wire = evt.encode().to_wire();
+    const Bytes wire = hci::encode(evt).to_wire();
     Bytes seed{0, static_cast<std::uint8_t>(wire.size() > 1 ? wire.size() - 1 : 0)};
     seed.insert(seed.end(), wire.begin() + 1, wire.end());
     seed.push_back(7);

@@ -7,7 +7,9 @@
 // parameter length (22 = 6-byte BD_ADDR + 16-byte link key).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 
 namespace blap::hci {
 
@@ -73,8 +75,6 @@ inline constexpr std::uint16_t kWriteSimplePairingMode = opcode(0x03, 0x0056);
 inline constexpr std::uint16_t kReadBdAddr = opcode(0x04, 0x0009);
 }  // namespace op
 
-[[nodiscard]] const char* opcode_name(std::uint16_t op);
-
 namespace ev {
 inline constexpr std::uint8_t kInquiryComplete = 0x01;
 inline constexpr std::uint8_t kInquiryResult = 0x02;
@@ -99,7 +99,76 @@ inline constexpr std::uint8_t kSimplePairingComplete = 0x36;
 inline constexpr std::uint8_t kExtendedInquiryResult = 0x2F;
 }  // namespace ev
 
-[[nodiscard]] const char* event_name(std::uint8_t code);
+/// A command opcode or event code with its spec name.
+struct CodeName {
+  std::uint16_t code;
+  const char* name;
+};
+
+/// Every command and event the stack knows, one row each, sorted by code.
+/// The rows back opcode_name()/event_name() and the fuzz dictionary.
+inline constexpr CodeName kCommandNames[] = {
+    {op::kInquiry, "HCI_Inquiry"},
+    {op::kInquiryCancel, "HCI_Inquiry_Cancel"},
+    {op::kCreateConnection, "HCI_Create_Connection"},
+    {op::kDisconnect, "HCI_Disconnect"},
+    {op::kAcceptConnectionRequest, "HCI_Accept_Connection_Request"},
+    {op::kRejectConnectionRequest, "HCI_Reject_Connection_Request"},
+    {op::kLinkKeyRequestReply, "HCI_Link_Key_Request_Reply"},
+    {op::kLinkKeyRequestNegativeReply, "HCI_Link_Key_Request_Negative_Reply"},
+    {op::kPinCodeRequestReply, "HCI_PIN_Code_Request_Reply"},
+    {op::kPinCodeRequestNegativeReply, "HCI_PIN_Code_Request_Negative_Reply"},
+    {op::kAuthenticationRequested, "HCI_Authentication_Requested"},
+    {op::kSetConnectionEncryption, "HCI_Set_Connection_Encryption"},
+    {op::kRemoteNameRequest, "HCI_Remote_Name_Request"},
+    {op::kIoCapabilityRequestReply, "HCI_IO_Capability_Request_Reply"},
+    {op::kUserConfirmationRequestReply, "HCI_User_Confirmation_Request_Reply"},
+    {op::kUserConfirmationRequestNegativeReply, "HCI_User_Confirmation_Request_Negative_Reply"},
+    {op::kReset, "HCI_Reset"},
+    {op::kReadStoredLinkKey, "HCI_Read_Stored_Link_Key"},
+    {op::kWriteLocalName, "HCI_Write_Local_Name"},
+    {op::kWriteScanEnable, "HCI_Write_Scan_Enable"},
+    {op::kWriteClassOfDevice, "HCI_Write_Class_of_Device"},
+    {op::kWriteSimplePairingMode, "HCI_Write_Simple_Pairing_Mode"},
+    {op::kReadBdAddr, "HCI_Read_BD_ADDR"},
+};
+inline constexpr CodeName kEventNames[] = {
+    {ev::kInquiryComplete, "HCI_Inquiry_Complete"},
+    {ev::kInquiryResult, "HCI_Inquiry_Result"},
+    {ev::kConnectionComplete, "HCI_Connection_Complete"},
+    {ev::kConnectionRequest, "HCI_Connection_Request"},
+    {ev::kDisconnectionComplete, "HCI_Disconnection_Complete"},
+    {ev::kAuthenticationComplete, "HCI_Authentication_Complete"},
+    {ev::kRemoteNameRequestComplete, "HCI_Remote_Name_Request_Complete"},
+    {ev::kEncryptionChange, "HCI_Encryption_Change"},
+    {ev::kCommandComplete, "HCI_Command_Complete"},
+    {ev::kCommandStatus, "HCI_Command_Status"},
+    {ev::kReturnLinkKeys, "HCI_Return_Link_Keys"},
+    {ev::kPinCodeRequest, "HCI_PIN_Code_Request"},
+    {ev::kLinkKeyRequest, "HCI_Link_Key_Request"},
+    {ev::kLinkKeyNotification, "HCI_Link_Key_Notification"},
+    {ev::kExtendedInquiryResult, "HCI_Extended_Inquiry_Result"},
+    {ev::kIoCapabilityRequest, "HCI_IO_Capability_Request"},
+    {ev::kIoCapabilityResponse, "HCI_IO_Capability_Response"},
+    {ev::kUserConfirmationRequest, "HCI_User_Confirmation_Request"},
+    {ev::kSimplePairingComplete, "HCI_Simple_Pairing_Complete"},
+};
+
+[[nodiscard]] constexpr const char* name_of(std::span<const CodeName> rows, std::uint16_t code,
+                                            const char* unknown) {
+  const auto by_code = [](const CodeName& row, std::uint16_t c) { return row.code < c; };
+  const auto it = std::lower_bound(rows.begin(), rows.end(), code, by_code);
+  return it != rows.end() && it->code == code ? it->name : unknown;
+}
+static_assert(std::ranges::is_sorted(kCommandNames, {}, &CodeName::code));
+static_assert(std::ranges::is_sorted(kEventNames, {}, &CodeName::code));
+
+[[nodiscard]] constexpr const char* opcode_name(std::uint16_t op) {
+  return name_of(kCommandNames, op, "HCI_Unknown_Command");
+}
+[[nodiscard]] constexpr const char* event_name(std::uint8_t code) {
+  return name_of(kEventNames, code, "HCI_Unknown_Event");
+}
 
 /// HCI error codes (Vol 1, Part F).
 enum class Status : std::uint8_t {

@@ -4,6 +4,34 @@
 
 namespace blap::hci {
 
+const char* to_string(Status status) {
+  switch (status) {
+    case Status::kSuccess: return "Success";
+    case Status::kUnknownConnectionIdentifier: return "Unknown Connection Identifier";
+    case Status::kPageTimeout: return "Page Timeout";
+    case Status::kAuthenticationFailure: return "Authentication Failure";
+    case Status::kPinOrKeyMissing: return "PIN or Key Missing";
+    case Status::kConnectionTimeout: return "Connection Timeout";
+    case Status::kConnectionAlreadyExists: return "Connection Already Exists";
+    case Status::kConnectionAcceptTimeout: return "Connection Accept Timeout Exceeded";
+    case Status::kRemoteUserTerminatedConnection: return "Remote User Terminated Connection";
+    case Status::kConnectionTerminatedByLocalHost: return "Connection Terminated By Local Host";
+    case Status::kPairingNotAllowed: return "Pairing Not Allowed";
+    case Status::kLmpResponseTimeout: return "LMP Response Timeout";
+  }
+  return "Unknown Status";
+}
+
+const char* to_string(IoCapability capability) {
+  switch (capability) {
+    case IoCapability::kDisplayOnly: return "DisplayOnly";
+    case IoCapability::kDisplayYesNo: return "DisplayYesNo";
+    case IoCapability::kKeyboardOnly: return "KeyboardOnly";
+    case IoCapability::kNoInputNoOutput: return "NoInputNoOutput";
+  }
+  return "?";
+}
+
 Bytes HciPacket::to_wire() const {
   Bytes out;
   out.reserve(payload.size() + 1);

@@ -196,23 +196,23 @@ std::string SnoopLog::format_table() const {
           event = event_name(*code);
           if (auto params = rec.packet.event_params()) {
             if (*code == ev::kCommandStatus) {
-              if (auto evt = CommandStatusEvt::decode(*params)) {
+              if (auto evt = pdu::decode<CommandStatusEvt>(*params)) {
                 command = opcode_name(evt->command_opcode);
                 status = to_string(evt->status);
                 event = "HCI_Command_Status";
               }
             } else if (*code == ev::kConnectionComplete) {
-              if (auto evt = ConnectionCompleteEvt::decode(*params)) {
+              if (auto evt = pdu::decode<ConnectionCompleteEvt>(*params)) {
                 handle = strfmt("0x%04x", evt->handle);
                 status = to_string(evt->status);
               }
             } else if (*code == ev::kAuthenticationComplete) {
-              if (auto evt = AuthenticationCompleteEvt::decode(*params)) {
+              if (auto evt = pdu::decode<AuthenticationCompleteEvt>(*params)) {
                 handle = strfmt("0x%04x", evt->handle);
                 status = to_string(evt->status);
               }
             } else if (*code == ev::kCommandComplete) {
-              if (auto evt = CommandCompleteEvt::decode(*params)) {
+              if (auto evt = pdu::decode<CommandCompleteEvt>(*params)) {
                 command = opcode_name(evt->command_opcode);
                 if (!evt->return_parameters.empty())
                   status = to_string(static_cast<Status>(evt->return_parameters[0]));

@@ -97,12 +97,12 @@ HostStack::HostStack(Scheduler& scheduler, transport::HciTransport& transport, H
 }
 
 void HostStack::power_on() {
-  send_command(hci::ResetCmd{}.encode());
-  send_command(hci::ReadBdAddrCmd{}.encode());
-  send_command(hci::WriteLocalNameCmd{config_.device_name}.encode());
-  send_command(hci::WriteSimplePairingModeCmd{
-      static_cast<std::uint8_t>(config_.simple_pairing ? 0x01 : 0x00)}.encode());
-  send_command(hci::WriteScanEnableCmd{hci::ScanEnable::kInquiryAndPage}.encode());
+  send_command(hci::encode(hci::ResetCmd{}));
+  send_command(hci::encode(hci::ReadBdAddrCmd{}));
+  send_command(hci::encode(hci::WriteLocalNameCmd{config_.device_name}));
+  send_command(hci::encode(hci::WriteSimplePairingModeCmd{
+      static_cast<std::uint8_t>(config_.simple_pairing ? 0x01 : 0x00)}));
+  send_command(hci::encode(hci::WriteScanEnableCmd{hci::ScanEnable::kInquiryAndPage}));
 }
 
 void HostStack::send_command(const hci::HciPacket& packet) {
@@ -128,11 +128,11 @@ void HostStack::discover(std::uint8_t inquiry_length,
   discovery_results_.clear();
   hci::InquiryCmd cmd;
   cmd.inquiry_length = inquiry_length;
-  send_command(cmd.encode());
+  send_command(hci::encode(cmd));
 }
 
 void HostStack::set_scan_mode(hci::ScanEnable mode) {
-  send_command(hci::WriteScanEnableCmd{mode}.encode());
+  send_command(hci::encode(hci::WriteScanEnableCmd{mode}));
 }
 
 void HostStack::discover_services(const BdAddr& peer, std::uint16_t uuid16,
@@ -158,7 +158,7 @@ void HostStack::request_remote_name(const BdAddr& peer,
   name_request_ = {peer, std::move(callback)};
   hci::RemoteNameRequestCmd cmd;
   cmd.bdaddr = peer;
-  send_command(cmd.encode());
+  send_command(hci::encode(cmd));
 }
 
 void HostStack::on_remote_name_complete(const hci::RemoteNameRequestCompleteEvt& evt) {
@@ -196,7 +196,7 @@ void HostStack::pair(const BdAddr& peer, StatusCallback callback) {
   }
   hci::CreateConnectionCmd cmd;
   cmd.bdaddr = peer;
-  send_command(cmd.encode());
+  send_command(hci::encode(cmd));
 }
 
 void HostStack::continue_pair_after_connect(Acl& acl) {
@@ -204,7 +204,7 @@ void HostStack::continue_pair_after_connect(Acl& acl) {
   pair_op_->stage = OpStage::kAuthenticating;
   acl.is_pairing_initiator = true;
   touch(acl);
-  send_command(hci::AuthenticationRequestedCmd{acl.handle}.encode());
+  send_command(hci::encode(hci::AuthenticationRequestedCmd{acl.handle}));
 }
 
 void HostStack::connect_only(const BdAddr& peer, StatusCallback callback) {
@@ -215,7 +215,7 @@ void HostStack::connect_only(const BdAddr& peer, StatusCallback callback) {
   connect_op_ = {peer, std::move(callback)};
   hci::CreateConnectionCmd cmd;
   cmd.bdaddr = peer;
-  send_command(cmd.encode());
+  send_command(hci::encode(cmd));
 }
 
 void HostStack::connect_pan(const BdAddr& peer, BoolCallback callback) {
@@ -242,7 +242,7 @@ void HostStack::connect_pan(const BdAddr& peer, BoolCallback callback) {
   } else {
     hci::CreateConnectionCmd cmd;
     cmd.bdaddr = peer;
-    send_command(cmd.encode());
+    send_command(hci::encode(cmd));
   }
 }
 
@@ -269,7 +269,7 @@ void HostStack::pull_phonebook(const BdAddr& peer, PbapProfile::PullCallback cal
   } else {
     hci::CreateConnectionCmd cmd;
     cmd.bdaddr = peer;
-    send_command(cmd.encode());
+    send_command(hci::encode(cmd));
   }
 }
 
@@ -297,7 +297,7 @@ void HostStack::read_messages(
   } else {
     hci::CreateConnectionCmd cmd;
     cmd.bdaddr = peer;
-    send_command(cmd.encode());
+    send_command(hci::encode(cmd));
   }
 }
 
@@ -344,7 +344,7 @@ void HostStack::connect_hfp(const BdAddr& peer, BoolCallback callback) {
   } else {
     hci::CreateConnectionCmd cmd;
     cmd.bdaddr = peer;
-    send_command(cmd.encode());
+    send_command(hci::encode(cmd));
   }
 }
 
@@ -472,7 +472,7 @@ void HostStack::disconnect(const BdAddr& peer, hci::Status reason) {
   hci::DisconnectCmd cmd;
   cmd.handle = acl->handle;
   cmd.reason = reason;
-  send_command(cmd.encode());
+  send_command(hci::encode(cmd));
 }
 
 bool HostStack::has_acl(const BdAddr& peer) const {
@@ -526,7 +526,7 @@ void HostStack::arm_idle_timer(Acl& acl) {
     hci::DisconnectCmd cmd;
     cmd.handle = handle;
     cmd.reason = hci::Status::kRemoteUserTerminatedConnection;
-    send_command(cmd.encode());
+    send_command(hci::encode(cmd));
   });
 }
 
@@ -607,7 +607,7 @@ void HostStack::retry_pair_op(PairOp op) {
   } else {
     hci::CreateConnectionCmd cmd;
     cmd.bdaddr = peer;
-    send_command(cmd.encode());
+    send_command(hci::encode(cmd));
   }
 }
 
@@ -675,62 +675,64 @@ void HostStack::dispatch_event(std::uint8_t code, BytesView params) {
   if (obs_ != nullptr) obs_->count("host.events_dispatched");
   switch (code) {
     case hci::ev::kConnectionRequest:
-      if (auto evt = hci::ConnectionRequestEvt::decode(params)) on_connection_request(*evt);
+      if (auto evt = pdu::decode<hci::ConnectionRequestEvt>(params)) on_connection_request(*evt);
       break;
     case hci::ev::kConnectionComplete:
-      if (auto evt = hci::ConnectionCompleteEvt::decode(params)) on_connection_complete(*evt);
+      if (auto evt = pdu::decode<hci::ConnectionCompleteEvt>(params)) on_connection_complete(*evt);
       break;
     case hci::ev::kDisconnectionComplete:
-      if (auto evt = hci::DisconnectionCompleteEvt::decode(params))
+      if (auto evt = pdu::decode<hci::DisconnectionCompleteEvt>(params))
         on_disconnection_complete(*evt);
       break;
     case hci::ev::kLinkKeyRequest:
-      if (auto evt = hci::LinkKeyRequestEvt::decode(params)) on_link_key_request(*evt);
+      if (auto evt = pdu::decode<hci::LinkKeyRequestEvt>(params)) on_link_key_request(*evt);
       break;
     case hci::ev::kPinCodeRequest:
-      if (auto evt = hci::PinCodeRequestEvt::decode(params)) on_pin_code_request(*evt);
+      if (auto evt = pdu::decode<hci::PinCodeRequestEvt>(params)) on_pin_code_request(*evt);
       break;
     case hci::ev::kLinkKeyNotification:
-      if (auto evt = hci::LinkKeyNotificationEvt::decode(params)) on_link_key_notification(*evt);
+      if (auto evt = pdu::decode<hci::LinkKeyNotificationEvt>(params))
+        on_link_key_notification(*evt);
       break;
     case hci::ev::kIoCapabilityRequest:
-      if (auto evt = hci::IoCapabilityRequestEvt::decode(params)) on_io_capability_request(*evt);
+      if (auto evt = pdu::decode<hci::IoCapabilityRequestEvt>(params))
+        on_io_capability_request(*evt);
       break;
     case hci::ev::kIoCapabilityResponse:
-      if (auto evt = hci::IoCapabilityResponseEvt::decode(params))
+      if (auto evt = pdu::decode<hci::IoCapabilityResponseEvt>(params))
         on_io_capability_response(*evt);
       break;
     case hci::ev::kUserConfirmationRequest:
-      if (auto evt = hci::UserConfirmationRequestEvt::decode(params))
+      if (auto evt = pdu::decode<hci::UserConfirmationRequestEvt>(params))
         on_user_confirmation_request(*evt);
       break;
     case hci::ev::kSimplePairingComplete:
-      if (auto evt = hci::SimplePairingCompleteEvt::decode(params))
+      if (auto evt = pdu::decode<hci::SimplePairingCompleteEvt>(params))
         on_simple_pairing_complete(*evt);
       break;
     case hci::ev::kAuthenticationComplete:
-      if (auto evt = hci::AuthenticationCompleteEvt::decode(params))
+      if (auto evt = pdu::decode<hci::AuthenticationCompleteEvt>(params))
         on_authentication_complete(*evt);
       break;
     case hci::ev::kEncryptionChange:
-      if (auto evt = hci::EncryptionChangeEvt::decode(params)) on_encryption_change(*evt);
+      if (auto evt = pdu::decode<hci::EncryptionChangeEvt>(params)) on_encryption_change(*evt);
       break;
     case hci::ev::kInquiryResult:
-      if (auto evt = hci::InquiryResultEvt::decode(params)) on_inquiry_result(*evt);
+      if (auto evt = pdu::decode<hci::InquiryResultEvt>(params)) on_inquiry_result(*evt);
       break;
     case hci::ev::kExtendedInquiryResult:
-      if (auto evt = hci::ExtendedInquiryResultEvt::decode(params))
+      if (auto evt = pdu::decode<hci::ExtendedInquiryResultEvt>(params))
         on_extended_inquiry_result(*evt);
       break;
     case hci::ev::kInquiryComplete:
       on_inquiry_complete();
       break;
     case hci::ev::kRemoteNameRequestComplete:
-      if (auto evt = hci::RemoteNameRequestCompleteEvt::decode(params))
+      if (auto evt = pdu::decode<hci::RemoteNameRequestCompleteEvt>(params))
         on_remote_name_complete(*evt);
       break;
     case hci::ev::kCommandComplete:
-      if (auto evt = hci::CommandCompleteEvt::decode(params)) on_command_complete(*evt);
+      if (auto evt = pdu::decode<hci::CommandCompleteEvt>(params)) on_command_complete(*evt);
       break;
     default:
       break;
@@ -757,7 +759,7 @@ void HostStack::on_connection_request(const hci::ConnectionRequestEvt& evt) {
   if (!config_.auto_accept_connections) {
     hci::RejectConnectionRequestCmd cmd;
     cmd.bdaddr = evt.bdaddr;
-    send_command(cmd.encode());
+    send_command(hci::encode(cmd));
     return;
   }
   // Policy glitch: the host rejects a connection it would normally accept;
@@ -765,13 +767,13 @@ void HostStack::on_connection_request(const hci::ConnectionRequestEvt& evt) {
   if (BLAP_FAILPOINT("host.connect.reject")) {
     hci::RejectConnectionRequestCmd cmd;
     cmd.bdaddr = evt.bdaddr;
-    send_command(cmd.encode());
+    send_command(hci::encode(cmd));
     return;
   }
   hci::AcceptConnectionRequestCmd cmd;
   cmd.bdaddr = evt.bdaddr;
   pending_accepts_.insert(evt.bdaddr);
-  send_command(cmd.encode());
+  send_command(hci::encode(cmd));
 }
 
 void HostStack::on_connection_complete(const hci::ConnectionCompleteEvt& evt) {
@@ -858,12 +860,12 @@ void HostStack::on_link_key_request(const hci::LinkKeyRequestEvt& evt) {
     hci::LinkKeyRequestReplyCmd cmd;
     cmd.bdaddr = evt.bdaddr;
     cmd.link_key = *key;
-    send_command(cmd.encode());  // the plaintext key crosses the HCI here
+    send_command(hci::encode(cmd));  // the plaintext key crosses the HCI here
   } else {
     if (obs_ != nullptr) obs_->count("host.link_key_negative_replies");
     hci::LinkKeyRequestNegativeReplyCmd cmd;
     cmd.bdaddr = evt.bdaddr;
-    send_command(cmd.encode());
+    send_command(hci::encode(cmd));
   }
 }
 
@@ -873,13 +875,13 @@ void HostStack::on_pin_code_request(const hci::PinCodeRequestEvt& evt) {
   if (pin.empty() || pin.size() > 16) {
     hci::PinCodeRequestNegativeReplyCmd cmd;
     cmd.bdaddr = evt.bdaddr;
-    send_command(cmd.encode());
+    send_command(hci::encode(cmd));
     return;
   }
   hci::PinCodeRequestReplyCmd cmd;
   cmd.bdaddr = evt.bdaddr;
   cmd.pin = pin;
-  send_command(cmd.encode());
+  send_command(hci::encode(cmd));
 }
 
 void HostStack::on_link_key_notification(const hci::LinkKeyNotificationEvt& evt) {
@@ -904,7 +906,7 @@ void HostStack::on_io_capability_request(const hci::IoCapabilityRequestEvt& evt)
   cmd.bdaddr = evt.bdaddr;
   cmd.io_capability = config_.io_capability;
   cmd.authentication_requirements = config_.auth_requirements;
-  send_command(cmd.encode());
+  send_command(hci::encode(cmd));
 }
 
 void HostStack::on_io_capability_response(const hci::IoCapabilityResponseEvt& evt) {
@@ -955,11 +957,11 @@ void HostStack::on_user_confirmation_request(const hci::UserConfirmationRequestE
   if (accept) {
     hci::UserConfirmationRequestReplyCmd cmd;
     cmd.bdaddr = evt.bdaddr;
-    send_command(cmd.encode());
+    send_command(hci::encode(cmd));
   } else {
     hci::UserConfirmationRequestNegativeReplyCmd cmd;
     cmd.bdaddr = evt.bdaddr;
-    send_command(cmd.encode());
+    send_command(hci::encode(cmd));
   }
 }
 
@@ -977,7 +979,7 @@ void HostStack::on_authentication_complete(const hci::AuthenticationCompleteEvt&
     }
     if (pair_op_ && pair_op_->peer == peer && pair_op_->stage == OpStage::kAuthenticating) {
       pair_op_->stage = OpStage::kEncrypting;
-      send_command(hci::SetConnectionEncryptionCmd{evt.handle, 0x01}.encode());
+      send_command(hci::encode(hci::SetConnectionEncryptionCmd{evt.handle, 0x01}));
     }
     return;
   }

@@ -4,7 +4,8 @@
 // the coverage-guided fuzz targets (fuzz_hci_codec / fuzz_lmp_codec): the
 // property this suite asserts on randomized-but-valid values is, by
 // construction, the same property the fuzzer explores on arbitrary bytes.
-// Per value the harness checks:
+// For every typed PDU in hci::Commands, hci::Events and
+// controller::LmpPayloads, per value the harness checks:
 //
 //   * encode -> decode -> encode reproduces the first wire bytes,
 //   * every strict prefix of the parameter block decodes to nullopt
@@ -14,6 +15,8 @@
 //
 // Seeds are fixed: failures reproduce exactly.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/rng.hpp"
 #include "controller/lmp.hpp"
@@ -25,17 +28,14 @@
 namespace blap::hci {
 namespace {
 
-using fuzz::check_command_round_trip;
-using fuzz::check_event_round_trip;
 using fuzz::check_h4_round_trip;
 using fuzz::check_hci_wire;
 using fuzz::check_lmp_frame;
 using fuzz::check_lmp_round_trip;
+using fuzz::check_round_trip;
 using fuzz::CheckResult;
 
 constexpr int kRounds = 200;
-
-BdAddr random_addr(Rng& rng) { return BdAddr(rng.bytes<6>()); }
 
 // --- generic H4 framing ------------------------------------------------------
 
@@ -70,7 +70,7 @@ TEST(CodecFuzz, ArbitraryInputProbeAcceptsValidWires) {
   for (int i = 0; i < kRounds; ++i) {
     DisconnectCmd cmd;
     cmd.handle = static_cast<ConnectionHandle>(rng.uniform(0x0EFF));
-    const CheckResult r = check_hci_wire(cmd.encode().to_wire(), nullptr);
+    const CheckResult r = check_hci_wire(hci::encode(cmd).to_wire(), nullptr);
     ASSERT_TRUE(r.ok) << r.detail;
 
     controller::LmpPdu pdu;
@@ -81,22 +81,68 @@ TEST(CodecFuzz, ArbitraryInputProbeAcceptsValidWires) {
   }
 }
 
-// --- typed commands ----------------------------------------------------------
+// --- every typed PDU ---------------------------------------------------------
 
-// Round-trips one randomized command/event value through the shared harness
-// body (round trip, strict-prefix rejection, padding tolerance).
-template <typename Cmd, typename MakeFn>
-void fuzz_command(std::uint64_t seed, MakeFn make) {
+// Values come from decoding seeded random blocks, so no PDU needs its own
+// generator and every value is one its decoder accepts (a default-built
+// PinCodeRequestReplyCmd carries an empty PIN that its decoder rejects).
+// A block is as long as the PDU's default encoding, and at least 65 bytes
+// so that a P-256 public key fits; fixed-size PDUs ignore the bytes after
+// their last field. Each value must also pass the fuzz target's
+// arbitrary-input probe, framed as the packet or air frame that carries it.
+template <typename T>
+void check_seeded_values(std::uint64_t seed) {
+  const char* name = fuzz::harness_detail::spec_name<T>();
+  const std::size_t length = std::max<std::size_t>(pdu::encode(T{}).size(), 65);
+  Rng rng(seed);
+  int values = 0;
+  for (int attempt = 0; attempt < 256 * kRounds && values < kRounds; ++attempt) {
+    const auto value = pdu::decode<T>(rng.buffer(length));
+    if (!value) continue;
+    ++values;
+    const CheckResult r = check_round_trip(*value);
+    ASSERT_TRUE(r.ok) << r.detail;
+    CheckResult probe;
+    if constexpr (fuzz::harness_detail::LmpPayload<T>) {
+      const controller::LmpPdu carrier{T::kOpcodes[0], pdu::encode(*value)};
+      probe = check_lmp_frame(carrier.to_air_frame(), nullptr);
+    } else {
+      probe = check_hci_wire(hci::encode(*value).to_wire(), nullptr);
+    }
+    ASSERT_TRUE(probe.ok) << probe.detail;
+  }
+  EXPECT_GE(values, kRounds / 4) << name << ": too few seeded blocks decoded";
+}
+
+template <typename... Ts>
+void check_every(pdu::List<Ts...>, std::uint64_t seed) {
+  (check_seeded_values<Ts>(seed++), ...);
+}
+
+TEST(CodecFuzz, EveryCommandRoundTrips) { check_every(Commands{}, 100); }
+
+TEST(CodecFuzz, EveryEventRoundTrips) { check_every(Events{}, 200); }
+
+TEST(CodecFuzz, EveryLmpPayloadRoundTrips) { check_every(controller::LmpPayloads{}, 300); }
+
+// --- hand-built values -------------------------------------------------------
+
+// The loop above only sees values a random block decodes to; these build the
+// attack-path PDUs field by field, with in-range values the stack sends.
+template <typename T, typename MakeFn>
+void fuzz_value(std::uint64_t seed, MakeFn make) {
   Rng rng(seed);
   for (int i = 0; i < kRounds; ++i) {
-    const Cmd cmd = make(rng);
-    const CheckResult r = check_command_round_trip(cmd);
+    const T value = make(rng);
+    const CheckResult r = check_round_trip(value);
     ASSERT_TRUE(r.ok) << r.detail;
   }
 }
 
+BdAddr random_addr(Rng& rng) { return BdAddr(rng.bytes<6>()); }
+
 TEST(CodecFuzz, CreateConnectionCmd) {
-  fuzz_command<CreateConnectionCmd>(1, [](Rng& rng) {
+  fuzz_value<CreateConnectionCmd>(1, [](Rng& rng) {
     CreateConnectionCmd cmd;
     cmd.bdaddr = random_addr(rng);
     cmd.packet_type = static_cast<std::uint16_t>(rng.next_u64());
@@ -109,7 +155,7 @@ TEST(CodecFuzz, CreateConnectionCmd) {
 }
 
 TEST(CodecFuzz, DisconnectCmd) {
-  fuzz_command<DisconnectCmd>(2, [](Rng& rng) {
+  fuzz_value<DisconnectCmd>(2, [](Rng& rng) {
     DisconnectCmd cmd;
     cmd.handle = static_cast<ConnectionHandle>(rng.uniform(0x0EFF));
     cmd.reason = static_cast<Status>(rng.uniform(0x40));
@@ -118,7 +164,7 @@ TEST(CodecFuzz, DisconnectCmd) {
 }
 
 TEST(CodecFuzz, LinkKeyRequestReplyCmd) {
-  fuzz_command<LinkKeyRequestReplyCmd>(3, [](Rng& rng) {
+  fuzz_value<LinkKeyRequestReplyCmd>(3, [](Rng& rng) {
     LinkKeyRequestReplyCmd cmd;
     cmd.bdaddr = random_addr(rng);
     cmd.link_key = rng.bytes<16>();
@@ -127,7 +173,7 @@ TEST(CodecFuzz, LinkKeyRequestReplyCmd) {
 }
 
 TEST(CodecFuzz, AuthenticationRequestedCmd) {
-  fuzz_command<AuthenticationRequestedCmd>(4, [](Rng& rng) {
+  fuzz_value<AuthenticationRequestedCmd>(4, [](Rng& rng) {
     AuthenticationRequestedCmd cmd;
     cmd.handle = static_cast<ConnectionHandle>(rng.uniform(0x0EFF));
     return cmd;
@@ -135,7 +181,7 @@ TEST(CodecFuzz, AuthenticationRequestedCmd) {
 }
 
 TEST(CodecFuzz, SetConnectionEncryptionCmd) {
-  fuzz_command<SetConnectionEncryptionCmd>(5, [](Rng& rng) {
+  fuzz_value<SetConnectionEncryptionCmd>(5, [](Rng& rng) {
     SetConnectionEncryptionCmd cmd;
     cmd.handle = static_cast<ConnectionHandle>(rng.uniform(0x0EFF));
     cmd.encryption_enable = static_cast<std::uint8_t>(rng.uniform(2));
@@ -143,20 +189,8 @@ TEST(CodecFuzz, SetConnectionEncryptionCmd) {
   });
 }
 
-// --- typed events ------------------------------------------------------------
-
-template <typename Evt, typename MakeFn>
-void fuzz_event(std::uint64_t seed, MakeFn make) {
-  Rng rng(seed);
-  for (int i = 0; i < kRounds; ++i) {
-    const Evt evt = make(rng);
-    const CheckResult r = check_event_round_trip(evt);
-    ASSERT_TRUE(r.ok) << r.detail;
-  }
-}
-
 TEST(CodecFuzz, ConnectionCompleteEvt) {
-  fuzz_event<ConnectionCompleteEvt>(6, [](Rng& rng) {
+  fuzz_value<ConnectionCompleteEvt>(6, [](Rng& rng) {
     ConnectionCompleteEvt evt;
     evt.status = static_cast<Status>(rng.uniform(0x40));
     evt.handle = static_cast<ConnectionHandle>(rng.uniform(0x0EFF));
@@ -168,7 +202,7 @@ TEST(CodecFuzz, ConnectionCompleteEvt) {
 }
 
 TEST(CodecFuzz, LinkKeyNotificationEvt) {
-  fuzz_event<LinkKeyNotificationEvt>(7, [](Rng& rng) {
+  fuzz_value<LinkKeyNotificationEvt>(7, [](Rng& rng) {
     LinkKeyNotificationEvt evt;
     evt.bdaddr = random_addr(rng);
     evt.link_key = rng.bytes<16>();
@@ -266,73 +300,32 @@ TEST(CodecFuzz, LmpRejectsBadFrames) {
   EXPECT_FALSE(controller::LmpPdu::from_air_frame(only_channel).has_value());
 }
 
-TEST(CodecFuzz, LmpTypedPayloadsRejectTruncation) {
-  Rng rng(10);
-  for (int i = 0; i < kRounds; ++i) {
-    controller::LmpIoCap iocap;
-    iocap.io_capability = static_cast<std::uint8_t>(rng.uniform(4));
-    iocap.oob_data_present = static_cast<std::uint8_t>(rng.uniform(2));
-    iocap.authentication_requirements = static_cast<std::uint8_t>(rng.uniform(6));
-    const Bytes enc = iocap.encode();
-    const auto dec = controller::LmpIoCap::decode(enc);
-    ASSERT_TRUE(dec.has_value());
-    EXPECT_EQ(dec->encode(), enc);
-    for (std::size_t cut = 0; cut < enc.size(); ++cut)
-      EXPECT_FALSE(controller::LmpIoCap::decode(BytesView(enc).subspan(0, cut)).has_value());
-
-    controller::LmpNotAccepted na;
-    na.rejected_opcode = static_cast<controller::LmpOpcode>(
-        1 + rng.uniform(static_cast<std::uint64_t>(controller::LmpOpcode::kSresSc)));
-    na.reason = static_cast<std::uint8_t>(rng.next_u64());
-    const Bytes na_enc = na.encode();
-    const auto na_dec = controller::LmpNotAccepted::decode(na_enc);
-    ASSERT_TRUE(na_dec.has_value());
-    EXPECT_EQ(na_dec->encode(), na_enc);
-    for (std::size_t cut = 0; cut < na_enc.size(); ++cut)
-      EXPECT_FALSE(
-          controller::LmpNotAccepted::decode(BytesView(na_enc).subspan(0, cut)).has_value());
-  }
-}
-
 // LmpPublicKey is the variable-length case: [width u8][x width bytes]
-// [y width bytes] for widths 24 (P-192) and 32 (P-256). Every strict prefix
-// — including cuts inside the coordinates, where a fixed-size checker would
-// never look — must reject, and the declared width must bound the read.
+// [y width bytes] for widths 24 (P-192) and 32 (P-256). The loop above
+// checks its round trip and every strict prefix; here the declared width
+// must bound the read.
 TEST(CodecFuzz, LmpVariableLengthPublicKeyRejectsTruncation) {
   Rng rng(12);
-  for (const std::size_t width : {std::size_t{24}, std::size_t{32}}) {
-    for (int i = 0; i < kRounds / 4; ++i) {
-      controller::LmpPublicKey key;
-      key.x = rng.buffer(width);
-      key.y = rng.buffer(width);
-      const Bytes enc = key.encode();
+  for (int i = 0; i < kRounds / 4; ++i) {
+    const controller::LmpPublicKey key{rng.buffer(24), rng.buffer(24)};
+    const Bytes enc = pdu::encode(key);
+    const auto dec = pdu::decode<controller::LmpPublicKey>(enc);
+    ASSERT_TRUE(dec.has_value());
+    EXPECT_EQ(dec->x, key.x);
+    EXPECT_EQ(dec->y, key.y);
 
-      const auto dec = controller::LmpPublicKey::decode(enc);
-      ASSERT_TRUE(dec.has_value());
-      EXPECT_EQ(dec->x, key.x);
-      EXPECT_EQ(dec->y, key.y);
-      EXPECT_EQ(dec->encode(), enc);
-
-      for (std::size_t cut = 0; cut < enc.size(); ++cut)
-        EXPECT_FALSE(
-            controller::LmpPublicKey::decode(BytesView(enc).subspan(0, cut)).has_value())
-            << "width " << width << ", prefix of " << cut << " bytes decoded";
-
-      // A width byte that promises more coordinate bytes than the frame
-      // carries must not over-read: a P-192 frame relabelled P-256 rejects.
-      if (width == 24) {
-        Bytes lying = enc;
-        lying[0] = 32;
-        EXPECT_FALSE(controller::LmpPublicKey::decode(lying).has_value());
-      }
-    }
+    // A width byte that promises more coordinate bytes than the frame
+    // carries must not over-read: a P-192 frame relabelled P-256 rejects.
+    Bytes lying = enc;
+    lying[0] = 32;
+    EXPECT_FALSE(pdu::decode<controller::LmpPublicKey>(lying).has_value());
   }
   // Widths other than the two supported curves reject outright, however
   // many bytes follow.
   for (const int bad_width : {0, 1, 16, 25, 33, 255}) {
     Bytes frame{static_cast<std::uint8_t>(bad_width)};
     frame.resize(1 + 2 * static_cast<std::size_t>(bad_width), 0xAB);
-    EXPECT_FALSE(controller::LmpPublicKey::decode(frame).has_value())
+    EXPECT_FALSE(pdu::decode<controller::LmpPublicKey>(frame).has_value())
         << "width " << bad_width << " accepted";
   }
 }

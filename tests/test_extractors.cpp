@@ -33,7 +33,7 @@ TEST(SnoopExtractor, FindsRequestReplyKeys) {
   hci::LinkKeyRequestReplyCmd cmd;
   cmd.bdaddr = kAddrM;
   cmd.link_key = key_of(0x71);
-  log.append(rec(10, hci::Direction::kHostToController, cmd.encode()));
+  log.append(rec(10, hci::Direction::kHostToController, hci::encode(cmd)));
 
   const auto keys = extract_link_keys(log);
   ASSERT_EQ(keys.size(), 1u);
@@ -49,7 +49,7 @@ TEST(SnoopExtractor, FindsNotificationKeys) {
   hci::LinkKeyNotificationEvt evt;
   evt.bdaddr = kAddrC;
   evt.link_key = key_of(0x42);
-  log.append(rec(20, hci::Direction::kControllerToHost, evt.encode()));
+  log.append(rec(20, hci::Direction::kControllerToHost, hci::encode(evt)));
   const auto keys = extract_link_keys(log);
   ASSERT_EQ(keys.size(), 1u);
   EXPECT_EQ(keys[0].source, KeySource::kLinkKeyNotification);
@@ -74,8 +74,8 @@ TEST(SnoopExtractor, LatestKeyPerPeerWins) {
   hci::LinkKeyRequestReplyCmd new_key;
   new_key.bdaddr = kAddrM;
   new_key.link_key = key_of(0x02);
-  log.append(rec(1, hci::Direction::kHostToController, old_key.encode()));
-  log.append(rec(2, hci::Direction::kHostToController, new_key.encode()));
+  log.append(rec(1, hci::Direction::kHostToController, hci::encode(old_key)));
+  log.append(rec(2, hci::Direction::kHostToController, hci::encode(new_key)));
 
   const auto latest = extract_link_key_for(log, kAddrM);
   ASSERT_TRUE(latest.has_value());
@@ -89,7 +89,7 @@ TEST(SnoopExtractor, SkipsTruncatedKeyPackets) {
   hci::LinkKeyRequestReplyCmd cmd;
   cmd.bdaddr = kAddrM;
   cmd.link_key = key_of(0x77);
-  hci::HciPacket packet = cmd.encode();
+  hci::HciPacket packet = hci::encode(cmd);
   packet.payload.resize(3);  // header only
   log.append(rec(1, hci::Direction::kHostToController, packet));
   EXPECT_TRUE(extract_link_keys(log).empty());
@@ -101,7 +101,7 @@ TEST(UsbExtractor, FindsPatternInRawStream) {
   cmd.bdaddr = kAddrM;
   cmd.link_key = key_of(0xC4);
   Bytes stream(37, 0x00);  // leading NULLs
-  const Bytes body = cmd.encode().payload;
+  const Bytes body = hci::encode(cmd).payload;
   stream.insert(stream.end(), body.begin(), body.end());
   stream.insert(stream.end(), 11, 0xFF);
 
@@ -123,7 +123,7 @@ TEST(UsbExtractor, FindsAllOccurrences) {
   cmd.link_key = key_of(0x11);
   Bytes stream;
   for (int i = 0; i < 3; ++i) {
-    const Bytes body = cmd.encode().payload;
+    const Bytes body = hci::encode(cmd).payload;
     stream.insert(stream.end(), body.begin(), body.end());
     stream.insert(stream.end(), 5, 0x00);
   }
@@ -138,9 +138,9 @@ TEST(FlowClassifier, NormalPairingSignature) {
   hci::SnoopLog log;
   hci::CreateConnectionCmd create;
   create.bdaddr = kAddrC;
-  log.append(rec(1, hci::Direction::kHostToController, create.encode()));
+  log.append(rec(1, hci::Direction::kHostToController, hci::encode(create)));
   log.append(rec(2, hci::Direction::kHostToController,
-                 hci::AuthenticationRequestedCmd{0x0006}.encode()));
+                 hci::encode(hci::AuthenticationRequestedCmd{0x0006})));
   const auto analysis = classify_pairing_flow(log);
   EXPECT_EQ(analysis.flow, PairingFlow::kNormal);
   EXPECT_EQ(analysis.pairing_frame, 2u);
@@ -149,12 +149,12 @@ TEST(FlowClassifier, NormalPairingSignature) {
 TEST(FlowClassifier, PageBlockedSignature) {
   hci::SnoopLog log;
   log.append(rec(1, hci::Direction::kControllerToHost,
-                 hci::ConnectionRequestEvt{kAddrC, ClassOfDevice(0), 1}.encode()));
+                 hci::encode(hci::ConnectionRequestEvt{kAddrC, ClassOfDevice(0), 1})));
   hci::AcceptConnectionRequestCmd accept;
   accept.bdaddr = kAddrC;
-  log.append(rec(2, hci::Direction::kHostToController, accept.encode()));
+  log.append(rec(2, hci::Direction::kHostToController, hci::encode(accept)));
   log.append(rec(3, hci::Direction::kHostToController,
-                 hci::AuthenticationRequestedCmd{0x0003}.encode()));
+                 hci::encode(hci::AuthenticationRequestedCmd{0x0003})));
   const auto analysis = classify_pairing_flow(log);
   EXPECT_EQ(analysis.flow, PairingFlow::kPageBlocked);
   EXPECT_TRUE(analysis.saw_connection_request);
@@ -165,7 +165,7 @@ TEST(FlowClassifier, PageBlockedSignature) {
 TEST(FlowClassifier, AuthWithoutEitherPrefixIsInconsistent) {
   hci::SnoopLog log;
   log.append(rec(1, hci::Direction::kHostToController,
-                 hci::AuthenticationRequestedCmd{0x0001}.encode()));
+                 hci::encode(hci::AuthenticationRequestedCmd{0x0001})));
   EXPECT_EQ(classify_pairing_flow(log).flow, PairingFlow::kInconsistent);
 }
 
@@ -175,14 +175,14 @@ TEST(FlowClassifier, AcceptAfterAuthDoesNotCountAsPageBlocked) {
   hci::SnoopLog log;
   hci::CreateConnectionCmd create;
   create.bdaddr = kAddrC;
-  log.append(rec(1, hci::Direction::kHostToController, create.encode()));
+  log.append(rec(1, hci::Direction::kHostToController, hci::encode(create)));
   log.append(rec(2, hci::Direction::kHostToController,
-                 hci::AuthenticationRequestedCmd{0x0006}.encode()));
+                 hci::encode(hci::AuthenticationRequestedCmd{0x0006})));
   log.append(rec(3, hci::Direction::kControllerToHost,
-                 hci::ConnectionRequestEvt{kAddrM, ClassOfDevice(0), 1}.encode()));
+                 hci::encode(hci::ConnectionRequestEvt{kAddrM, ClassOfDevice(0), 1})));
   hci::AcceptConnectionRequestCmd accept;
   accept.bdaddr = kAddrM;
-  log.append(rec(4, hci::Direction::kHostToController, accept.encode()));
+  log.append(rec(4, hci::Direction::kHostToController, hci::encode(accept)));
   EXPECT_NE(classify_pairing_flow(log).flow, PairingFlow::kPageBlocked);
 }
 

@@ -15,7 +15,7 @@ TEST(HciPacket, CommandWireFormat) {
   LinkKeyRequestReplyCmd cmd;
   cmd.bdaddr = kAddr;
   for (std::size_t i = 0; i < 16; ++i) cmd.link_key[i] = static_cast<std::uint8_t>(i);
-  const Bytes wire = cmd.encode().to_wire();
+  const Bytes wire = hci::encode(cmd).to_wire();
   ASSERT_GE(wire.size(), 4u);
   EXPECT_EQ(wire[0], 0x01);  // command indicator
   EXPECT_EQ(wire[1], 0x0b);  // opcode low
@@ -32,8 +32,8 @@ TEST(IsKeyBearing, IdentifiesBothKeyMessages) {
   reply.bdaddr = kAddr;
   LinkKeyNotificationEvt notification;
   notification.bdaddr = kAddr;
-  EXPECT_TRUE(key_bearing(reply.encode()));
-  EXPECT_TRUE(key_bearing(notification.encode()));
+  EXPECT_TRUE(key_bearing(hci::encode(reply)));
+  EXPECT_TRUE(key_bearing(hci::encode(notification)));
   EXPECT_FALSE(key_bearing(make_command(op::kReset, {})));
   EXPECT_FALSE(key_bearing(make_command(op::kLinkKeyRequestNegativeReply, Bytes(6))));
   EXPECT_FALSE(key_bearing(make_event(ev::kLinkKeyRequest, Bytes(6))));
@@ -47,7 +47,7 @@ TEST(LocateLinkKey, PeerAndWireOrderKeyFollowTheHeader) {
   LinkKeyNotificationEvt notification;
   notification.bdaddr = kAddr;
   notification.link_key = reply.link_key;
-  for (const HciPacket& packet : {reply.encode(), notification.encode()}) {
+  for (const HciPacket& packet : {hci::encode(reply), hci::encode(notification)}) {
     const auto field = locate_link_key(packet.type, packet.payload);
     ASSERT_TRUE(field.has_value());
     EXPECT_TRUE(field->key_present);
@@ -135,8 +135,8 @@ TEST(Commands, LinkKeyReplyRoundTripPreservesKeyByteOrder) {
   LinkKeyRequestReplyCmd cmd;
   cmd.bdaddr = kAddr;
   for (std::size_t i = 0; i < 16; ++i) cmd.link_key[i] = static_cast<std::uint8_t>(0xC4 - i);
-  const HciPacket packet = cmd.encode();
-  auto back = LinkKeyRequestReplyCmd::decode(*packet.command_params());
+  const HciPacket packet = hci::encode(cmd);
+  auto back = pdu::decode<LinkKeyRequestReplyCmd>(*packet.command_params());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->bdaddr, kAddr);
   EXPECT_EQ(back->link_key, cmd.link_key);
@@ -147,7 +147,7 @@ TEST(Commands, CreateConnectionRoundTrip) {
   cmd.bdaddr = kAddr;
   cmd.packet_type = 0xCC18;
   cmd.clock_offset = 0x1234;
-  auto back = CreateConnectionCmd::decode(*cmd.encode().command_params());
+  auto back = pdu::decode<CreateConnectionCmd>(*hci::encode(cmd).command_params());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->bdaddr, cmd.bdaddr);
   EXPECT_EQ(back->packet_type, cmd.packet_type);
@@ -157,18 +157,18 @@ TEST(Commands, CreateConnectionRoundTrip) {
 TEST(Commands, IoCapabilityReplyRejectsInvalidCapability) {
   IoCapabilityRequestReplyCmd cmd;
   cmd.bdaddr = kAddr;
-  HciPacket packet = cmd.encode();
+  HciPacket packet = hci::encode(cmd);
   // Corrupt the IO capability byte to an out-of-range value.
   packet.payload[3 + 6] = 0x07;
-  EXPECT_FALSE(IoCapabilityRequestReplyCmd::decode(*packet.command_params()).has_value());
+  EXPECT_FALSE(pdu::decode<IoCapabilityRequestReplyCmd>(*packet.command_params()).has_value());
 }
 
 TEST(Commands, WriteLocalNamePadsTo248) {
   WriteLocalNameCmd cmd;
   cmd.name = "velvet";
-  const HciPacket packet = cmd.encode();
+  const HciPacket packet = hci::encode(cmd);
   EXPECT_EQ(packet.command_params()->size(), 248u);
-  auto back = WriteLocalNameCmd::decode(*packet.command_params());
+  auto back = pdu::decode<WriteLocalNameCmd>(*packet.command_params());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->name, "velvet");
 }
@@ -177,7 +177,7 @@ TEST(Commands, DisconnectCarriesReason) {
   DisconnectCmd cmd;
   cmd.handle = 0x0006;
   cmd.reason = Status::kRemoteUserTerminatedConnection;
-  auto back = DisconnectCmd::decode(*cmd.encode().command_params());
+  auto back = pdu::decode<DisconnectCmd>(*hci::encode(cmd).command_params());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->handle, 0x0006);
   EXPECT_EQ(back->reason, Status::kRemoteUserTerminatedConnection);
@@ -188,7 +188,7 @@ TEST(Events, ConnectionCompleteRoundTrip) {
   evt.status = Status::kSuccess;
   evt.handle = 0x0006;
   evt.bdaddr = kAddr;
-  auto back = ConnectionCompleteEvt::decode(*evt.encode().event_params());
+  auto back = pdu::decode<ConnectionCompleteEvt>(*hci::encode(evt).event_params());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->handle, 0x0006);
   EXPECT_EQ(back->bdaddr, kAddr);
@@ -200,7 +200,7 @@ TEST(Events, LinkKeyNotificationRoundTripWithType) {
   evt.bdaddr = kAddr;
   for (std::size_t i = 0; i < 16; ++i) evt.link_key[i] = static_cast<std::uint8_t>(i * 17);
   evt.key_type = crypto::LinkKeyType::kUnauthenticatedCombinationP256;
-  auto back = LinkKeyNotificationEvt::decode(*evt.encode().event_params());
+  auto back = pdu::decode<LinkKeyNotificationEvt>(*hci::encode(evt).event_params());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->link_key, evt.link_key);
   EXPECT_EQ(back->key_type, crypto::LinkKeyType::kUnauthenticatedCombinationP256);
@@ -210,7 +210,7 @@ TEST(Events, CommandCompleteCarriesReturnParams) {
   CommandCompleteEvt evt;
   evt.command_opcode = op::kReadBdAddr;
   evt.return_parameters = {0x00, 0x0a, 0x71, 0xda, 0x7d, 0x1b, 0x00};
-  auto back = CommandCompleteEvt::decode(*evt.encode().event_params());
+  auto back = pdu::decode<CommandCompleteEvt>(*hci::encode(evt).event_params());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->command_opcode, op::kReadBdAddr);
   EXPECT_EQ(back->return_parameters.size(), 7u);
@@ -220,7 +220,7 @@ TEST(Events, RemoteNameRoundTrip) {
   RemoteNameRequestCompleteEvt evt;
   evt.bdaddr = kAddr;
   evt.remote_name = "VELVET";
-  auto back = RemoteNameRequestCompleteEvt::decode(*evt.encode().event_params());
+  auto back = pdu::decode<RemoteNameRequestCompleteEvt>(*hci::encode(evt).event_params());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->remote_name, "VELVET");
 }
@@ -229,7 +229,7 @@ TEST(Events, InquiryResultRoundTrip) {
   InquiryResultEvt evt;
   evt.bdaddr = kAddr;
   evt.class_of_device = ClassOfDevice(ClassOfDevice::kHandsFree);
-  auto back = InquiryResultEvt::decode(*evt.encode().event_params());
+  auto back = pdu::decode<InquiryResultEvt>(*hci::encode(evt).event_params());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->class_of_device.raw(), ClassOfDevice::kHandsFree);
 }
@@ -238,7 +238,7 @@ TEST(Events, UserConfirmationCarriesNumericValue) {
   UserConfirmationRequestEvt evt;
   evt.bdaddr = kAddr;
   evt.numeric_value = 595'311;
-  auto back = UserConfirmationRequestEvt::decode(*evt.encode().event_params());
+  auto back = pdu::decode<UserConfirmationRequestEvt>(*hci::encode(evt).event_params());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->numeric_value, 595'311u);
 }
@@ -246,20 +246,20 @@ TEST(Events, UserConfirmationCarriesNumericValue) {
 // Round-trip sweep over every event struct with default-ish values.
 TEST(Events, AllDecodersRejectEmptyParams) {
   const Bytes empty;
-  EXPECT_FALSE(CommandCompleteEvt::decode(empty).has_value());
-  EXPECT_FALSE(CommandStatusEvt::decode(empty).has_value());
-  EXPECT_FALSE(InquiryResultEvt::decode(empty).has_value());
-  EXPECT_FALSE(ConnectionRequestEvt::decode(empty).has_value());
-  EXPECT_FALSE(ConnectionCompleteEvt::decode(empty).has_value());
-  EXPECT_FALSE(DisconnectionCompleteEvt::decode(empty).has_value());
-  EXPECT_FALSE(AuthenticationCompleteEvt::decode(empty).has_value());
-  EXPECT_FALSE(EncryptionChangeEvt::decode(empty).has_value());
-  EXPECT_FALSE(LinkKeyRequestEvt::decode(empty).has_value());
-  EXPECT_FALSE(LinkKeyNotificationEvt::decode(empty).has_value());
-  EXPECT_FALSE(IoCapabilityRequestEvt::decode(empty).has_value());
-  EXPECT_FALSE(IoCapabilityResponseEvt::decode(empty).has_value());
-  EXPECT_FALSE(UserConfirmationRequestEvt::decode(empty).has_value());
-  EXPECT_FALSE(SimplePairingCompleteEvt::decode(empty).has_value());
+  EXPECT_FALSE(pdu::decode<CommandCompleteEvt>(empty).has_value());
+  EXPECT_FALSE(pdu::decode<CommandStatusEvt>(empty).has_value());
+  EXPECT_FALSE(pdu::decode<InquiryResultEvt>(empty).has_value());
+  EXPECT_FALSE(pdu::decode<ConnectionRequestEvt>(empty).has_value());
+  EXPECT_FALSE(pdu::decode<ConnectionCompleteEvt>(empty).has_value());
+  EXPECT_FALSE(pdu::decode<DisconnectionCompleteEvt>(empty).has_value());
+  EXPECT_FALSE(pdu::decode<AuthenticationCompleteEvt>(empty).has_value());
+  EXPECT_FALSE(pdu::decode<EncryptionChangeEvt>(empty).has_value());
+  EXPECT_FALSE(pdu::decode<LinkKeyRequestEvt>(empty).has_value());
+  EXPECT_FALSE(pdu::decode<LinkKeyNotificationEvt>(empty).has_value());
+  EXPECT_FALSE(pdu::decode<IoCapabilityRequestEvt>(empty).has_value());
+  EXPECT_FALSE(pdu::decode<IoCapabilityResponseEvt>(empty).has_value());
+  EXPECT_FALSE(pdu::decode<UserConfirmationRequestEvt>(empty).has_value());
+  EXPECT_FALSE(pdu::decode<SimplePairingCompleteEvt>(empty).has_value());
 }
 
 }  // namespace
@@ -275,7 +275,7 @@ TEST(Events, ExtendedInquiryResultRoundTripsName) {
   evt.class_of_device = ClassOfDevice(ClassOfDevice::kHandsFree);
   evt.rssi = -42;
   evt.name = "carkit-pro";
-  auto back = ExtendedInquiryResultEvt::decode(*evt.encode().event_params());
+  auto back = pdu::decode<ExtendedInquiryResultEvt>(*hci::encode(evt).event_params());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->name, "carkit-pro");
   EXPECT_EQ(back->rssi, -42);
@@ -286,7 +286,7 @@ TEST(Events, ExtendedInquiryResultEmptyNameYieldsEmpty) {
   ExtendedInquiryResultEvt evt;
   evt.bdaddr = *BdAddr::parse("00:1b:7d:da:71:0a");
   evt.name = "";
-  auto back = ExtendedInquiryResultEvt::decode(*evt.encode().event_params());
+  auto back = pdu::decode<ExtendedInquiryResultEvt>(*hci::encode(evt).event_params());
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->name.empty());
 }
@@ -295,17 +295,17 @@ TEST(Events, ExtendedInquiryResultRejectsTruncatedEir) {
   ExtendedInquiryResultEvt evt;
   evt.bdaddr = *BdAddr::parse("00:1b:7d:da:71:0a");
   evt.name = "x";
-  HciPacket packet = evt.encode();
+  HciPacket packet = hci::encode(evt);
   packet.payload.resize(packet.payload.size() - 10);  // shear the EIR block
   packet.payload[1] = static_cast<std::uint8_t>(packet.payload.size() - 2);
-  EXPECT_FALSE(ExtendedInquiryResultEvt::decode(*packet.event_params()).has_value());
+  EXPECT_FALSE(pdu::decode<ExtendedInquiryResultEvt>(*packet.event_params()).has_value());
 }
 
 TEST(Events, ExtendedInquiryResultLongNameTruncatesSafely) {
   ExtendedInquiryResultEvt evt;
   evt.bdaddr = *BdAddr::parse("00:1b:7d:da:71:0a");
   evt.name = std::string(300, 'N');
-  auto back = ExtendedInquiryResultEvt::decode(*evt.encode().event_params());
+  auto back = pdu::decode<ExtendedInquiryResultEvt>(*hci::encode(evt).event_params());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->name.size(), 238u);
 }

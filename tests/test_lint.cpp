@@ -9,7 +9,9 @@
 #include "lint.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -156,6 +158,29 @@ TEST(Lint, HeaderDeclaredUnorderedMemberCaughtViaKnownNames) {
   const auto findings = blap::lint::lint_file("host.cpp", src, options);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, Rule::kD2Ordered);
+}
+
+// Scopes and the fixture/build exclusions match paths relative to the root,
+// so where the checkout lives never matters: under a directory named
+// build-x_src/, "/build" and "src/" both occur in every absolute path.
+TEST(Lint, TreeWalkScopesOnRootRelativePaths) {
+  namespace fs = std::filesystem;
+  const fs::path temp =
+      fs::temp_directory_path() / ("blap_lint_walk_" + std::to_string(::getpid()));
+  const fs::path root = temp / "build-x_src";
+  fs::create_directories(root / "src" / "common");
+  fs::create_directories(root / "tests");
+  std::ofstream(root / "src" / "common" / "clock.cpp")
+      << "long now() { return std::time(nullptr); }\n";
+  std::ofstream(root / "tests" / "test_probe.cpp")
+      << "void f() { (void)BLAP_FAILPOINT(\"a.b.c\"); }\n";
+
+  EXPECT_EQ(blap::lint::tree_files(root.string()).size(), 2u);
+  const auto findings = blap::lint::lint_tree(root.string());
+  fs::remove_all(temp);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, Rule::kD1Wallclock);
+  EXPECT_EQ(findings[0].file, (root / "src" / "common" / "clock.cpp").string());
 }
 
 // The teeth of the gate: the shipped tree carries zero findings, so any new

@@ -19,14 +19,14 @@ hci::HciPacket key_reply() {
   hci::LinkKeyRequestReplyCmd cmd;
   cmd.bdaddr = kAddr;
   for (std::size_t i = 0; i < 16; ++i) cmd.link_key[i] = static_cast<std::uint8_t>(0x30 + i);
-  return cmd.encode();
+  return hci::encode(cmd);
 }
 
 hci::HciPacket key_notification() {
   hci::LinkKeyNotificationEvt evt;
   evt.bdaddr = kAddr;
   evt.link_key.fill(0x44);
-  return evt.encode();
+  return hci::encode(evt);
 }
 
 hci::SnoopRecord rec(hci::HciPacket packet) {
@@ -192,8 +192,8 @@ TEST(SnoopFilter, RandomizePreservesShapeButNotKey) {
   const auto& record = log.records()[0];
   // Same size, same opcode, same address — only the key bytes changed.
   EXPECT_EQ(record.packet.payload.size(), original.payload.size());
-  auto logged = hci::LinkKeyRequestReplyCmd::decode(*record.packet.command_params());
-  auto truth = hci::LinkKeyRequestReplyCmd::decode(*original.command_params());
+  auto logged = pdu::decode<hci::LinkKeyRequestReplyCmd>(*record.packet.command_params());
+  auto truth = pdu::decode<hci::LinkKeyRequestReplyCmd>(*original.command_params());
   ASSERT_TRUE(logged && truth);
   EXPECT_EQ(logged->bdaddr, truth->bdaddr);
   EXPECT_NE(logged->link_key, truth->link_key);

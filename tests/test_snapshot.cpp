@@ -333,7 +333,7 @@ void dirty_through_public_apis(Scenario& s) {
 
   hci::WriteLocalNameCmd rename;
   rename.name = "victim-M, renamed well past the small-string buffer";
-  s.target->transport().send(hci::Direction::kHostToController, rename.encode());
+  s.target->transport().send(hci::Direction::kHostToController, hci::encode(rename));
   victim.config().device_name = "victim-M host name, past the small-string buffer";
   victim.config().pin_code = "0000-1111-2222-3333-4444";
 

@@ -128,14 +128,13 @@ TEST(Snoop, LoadMissingFileFails) {
 TEST(Snoop, FormatTableShowsFig12Columns) {
   SnoopLog log;
   log.append(record_of(1, Direction::kControllerToHost,
-                       ConnectionRequestEvt{*BdAddr::parse("00:1b:7d:da:71:0a"),
-                                            ClassOfDevice(0), 1}
-                           .encode()));
+                       hci::encode(ConnectionRequestEvt{*BdAddr::parse("00:1b:7d:da:71:0a"),
+                                                        ClassOfDevice(0), 1})));
   AcceptConnectionRequestCmd accept;
   accept.bdaddr = *BdAddr::parse("00:1b:7d:da:71:0a");
-  log.append(record_of(2, Direction::kHostToController, accept.encode()));
+  log.append(record_of(2, Direction::kHostToController, hci::encode(accept)));
   log.append(record_of(3, Direction::kHostToController,
-                       AuthenticationRequestedCmd{0x0003}.encode()));
+                       hci::encode(AuthenticationRequestedCmd{0x0003})));
   const std::string table = log.format_table();
   EXPECT_NE(table.find("HCI_Connection_Request"), std::string::npos);
   EXPECT_NE(table.find("HCI_Accept_Connection_Request"), std::string::npos);

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "lint.hpp"
+
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -30,6 +32,14 @@ std::string read_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// The repository's sources, as blap-taint's tree mode walks them.
+std::vector<std::string> repo_files() {
+  std::vector<std::string> paths;
+  for (const blap::lint::TreeFile& f : blap::lint::tree_files(BLAP_SOURCE_DIR))
+    paths.push_back(f.path);
+  return paths;
 }
 
 std::string fixture_path(const std::string& name) {
@@ -137,7 +147,7 @@ TEST(Taint, SiteLinesAreStableAndPrefixStripped) {
 // carries a declassification marker, and nothing else reaches a sink. The
 // fixtures above are the only place S2/D6 are allowed to fire.
 TEST(TaintTree, RepoTreeHasNoFindings) {
-  const auto files = blap::taint::tree_files(BLAP_SOURCE_DIR);
+  const auto files = repo_files();
   ASSERT_FALSE(files.empty());
   const Report report = blap::taint::analyze_files(files);
   EXPECT_TRUE(report.findings.empty()) << [&] {
@@ -154,7 +164,7 @@ TEST(TaintTree, RepoTreeHasNoFindings) {
 // tests/taint_expected_sites.txt, mirroring what CI enforces against
 // taint-sites.txt.
 TEST(TaintTree, DeclassifiedSitesMatchPinnedWhitelist) {
-  const auto files = blap::taint::tree_files(BLAP_SOURCE_DIR);
+  const auto files = repo_files();
   const Report report = blap::taint::analyze_files(files);
 
   std::vector<std::string> expected;
@@ -169,7 +179,7 @@ TEST(TaintTree, DeclassifiedSitesMatchPinnedWhitelist) {
 // Scheduler callbacks in the live tree hold generation-checked handles and
 // re-validate them, which the analyzer proves rather than waives.
 TEST(TaintTree, SchedulerCallbacksProveHandleRevalidation) {
-  const auto files = blap::taint::tree_files(BLAP_SOURCE_DIR);
+  const auto files = repo_files();
   const Report report = blap::taint::analyze_files(files);
   EXPECT_GE(report.proven_lifetime_sites, 4);
 }

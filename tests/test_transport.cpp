@@ -17,7 +17,7 @@ hci::HciPacket key_reply_packet() {
   hci::LinkKeyRequestReplyCmd cmd;
   cmd.bdaddr = kAddr;
   for (std::size_t i = 0; i < 16; ++i) cmd.link_key[i] = static_cast<std::uint8_t>(0x10 + i);
-  return cmd.encode();
+  return hci::encode(cmd);
 }
 
 TEST(UartTransport, DeliversInBothDirections) {
@@ -80,8 +80,8 @@ TEST(Transport, PayloadProtectionHidesKeyFromTapsOnly) {
   EXPECT_NE(tapped, original);
   // Header and address survive; only the 16 key bytes changed.
   EXPECT_EQ(tapped.command_opcode(), hci::op::kLinkKeyRequestReply);
-  auto tapped_cmd = hci::LinkKeyRequestReplyCmd::decode(*tapped.command_params());
-  auto original_cmd = hci::LinkKeyRequestReplyCmd::decode(*original.command_params());
+  auto tapped_cmd = pdu::decode<hci::LinkKeyRequestReplyCmd>(*tapped.command_params());
+  auto original_cmd = pdu::decode<hci::LinkKeyRequestReplyCmd>(*original.command_params());
   ASSERT_TRUE(tapped_cmd && original_cmd);
   EXPECT_EQ(tapped_cmd->bdaddr, original_cmd->bdaddr);
   EXPECT_NE(tapped_cmd->link_key, original_cmd->link_key);
@@ -110,8 +110,8 @@ TEST(Transport, PayloadProtectionCoversNotificationEvent) {
   hci::LinkKeyNotificationEvt evt;
   evt.bdaddr = kAddr;
   evt.link_key.fill(0x42);
-  transport.send(hci::Direction::kControllerToHost, evt.encode());
-  auto tapped_evt = hci::LinkKeyNotificationEvt::decode(*tapped.event_params());
+  transport.send(hci::Direction::kControllerToHost, hci::encode(evt));
+  auto tapped_evt = pdu::decode<hci::LinkKeyNotificationEvt>(*tapped.event_params());
   ASSERT_TRUE(tapped_evt.has_value());
   EXPECT_NE(tapped_evt->link_key, evt.link_key);
 }

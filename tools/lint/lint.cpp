@@ -27,6 +27,10 @@ bool path_has(const std::string& path, std::string_view needle) {
   return path.find(needle) != std::string::npos;
 }
 
+/// Rule scopes match the leading directories of a root-relative path, so a
+/// checkout under, say, `x_src/` or `build-1/` scopes like any other.
+bool under(const std::string& path, std::string_view dir) { return path.starts_with(dir); }
+
 void report(std::vector<Finding>& findings, const Lexed& lx, Rule rule, std::string_view path,
             int line, std::string message) {
   if (suppressed(lx, line, rule_tag(rule))) return;
@@ -41,8 +45,8 @@ void rule_d1(const std::string& path, const Lexed& lx, const Options& options,
   if (!options.all_rules_everywhere) {
     // Host-side timing shells are allowed to read the wall clock: the
     // campaign engine's throughput report, benchmarks, and examples.
-    if (path_has(path, "src/campaign/campaign.cpp") || path_has(path, "bench/") ||
-        path_has(path, "examples/"))
+    if (under(path, "src/campaign/campaign.cpp") || under(path, "bench/") ||
+        under(path, "examples/"))
       return;
   }
   static const std::set<std::string> kBannedIdent = {
@@ -118,8 +122,7 @@ void rule_d2(const std::string& path, const Lexed& lx, const Options& options,
   // tools/snoopd ships the determinism contract to users (CI byte-diffs its
   // FleetReport across --jobs values), so it is held to the same ordered-
   // container discipline as src/.
-  if (!options.all_rules_everywhere && !path_has(path, "src/") &&
-      !path_has(path, "tools/snoopd/"))
+  if (!options.all_rules_everywhere && !under(path, "src/") && !under(path, "tools/snoopd/"))
     return;
   std::set<std::string> names = unordered_names(lx.tokens);
   names.insert(options.known_unordered.begin(), options.known_unordered.end());
@@ -240,7 +243,7 @@ void rule_d5(const std::string& path, const Lexed& lx, const Options& options,
   // everywhere") the scope widens from src/radio/ to any path mentioning
   // radio, so the d5 fixture exercises the rule without dragging the other
   // fixtures into it.
-  if (!path_has(path, options.all_rules_everywhere ? "radio" : "src/radio/")) return;
+  if (options.all_rules_everywhere ? !path_has(path, "radio") : !under(path, "src/radio/")) return;
   static const std::set<std::string> kUnordered = {
       "unordered_map", "unordered_set", "unordered_multimap", "unordered_multiset"};
   static const std::set<std::string> kLinearScan = {"find", "find_if", "count_if"};
@@ -285,9 +288,9 @@ void rule_d5(const std::string& path, const Lexed& lx, const Options& options,
 void rule_s1(const std::string& path, const Lexed& lx, const Options& options,
              std::vector<Finding>& findings) {
   if (!options.all_rules_everywhere) {
-    if (!path_has(path, "src/")) return;
-    if (path_has(path, "src/host/ui_model") || path_has(path, "src/host/security_manager") ||
-        path_has(path, "src/hci/"))
+    if (!under(path, "src/")) return;
+    if (under(path, "src/host/ui_model") || under(path, "src/host/security_manager") ||
+        under(path, "src/hci/"))
       return;
   }
   static const std::set<std::string> kIoCapConsts = {"kNoInputNoOutput", "kDisplayOnly",
@@ -335,7 +338,7 @@ void rule_d7(const std::string& path, const Lexed& lx, const Options& options,
              std::vector<Finding>& findings) {
   // Scoped to src/: the chaos tests and harnesses legitimately probe the
   // macro as an expression (recorder assertions, replayability sweeps).
-  if (!options.all_rules_everywhere && !path_has(path, "src/")) return;
+  if (!options.all_rules_everywhere && !under(path, "src/")) return;
   const auto& t = lx.tokens;
   // Paren ranges of every `if (...)` condition.
   std::vector<std::pair<std::size_t, std::size_t>> conditions;
@@ -429,23 +432,31 @@ std::vector<Finding> lint_file(std::string_view path, std::string_view content,
   return findings;
 }
 
-std::vector<Finding> lint_tree(const std::string& root, const Options& options) {
+std::vector<TreeFile> tree_files(const std::string& root) {
   namespace fs = std::filesystem;
-  std::vector<std::string> files;
+  std::vector<TreeFile> files;
   for (const char* dir : {"src", "examples", "bench", "tests", "tools"}) {
     const fs::path base = fs::path(root) / dir;
     if (!fs::exists(base)) continue;
     for (const auto& entry : fs::recursive_directory_iterator(base)) {
       if (!entry.is_regular_file()) continue;
-      const std::string p = normalize(entry.path().string());
-      if (path_has(p, "lint_fixtures") || path_has(p, "taint_fixtures") ||
-          path_has(p, "/build"))
+      const std::string relative =
+          normalize((fs::path(dir) / entry.path().lexically_relative(base)).string());
+      if (path_has(relative, "lint_fixtures") || path_has(relative, "taint_fixtures") ||
+          path_has(relative, "/build"))
         continue;
       const std::string ext = entry.path().extension().string();
-      if (ext == ".cpp" || ext == ".hpp" || ext == ".h" || ext == ".cc") files.push_back(p);
+      if (ext == ".cpp" || ext == ".hpp" || ext == ".h" || ext == ".cc")
+        files.push_back({normalize(entry.path().string()), relative});
     }
   }
-  std::sort(files.begin(), files.end());
+  std::sort(files.begin(), files.end(),
+            [](const TreeFile& a, const TreeFile& b) { return a.path < b.path; });
+  return files;
+}
+
+std::vector<Finding> lint_tree(const std::string& root, const Options& options) {
+  const std::vector<TreeFile> files = tree_files(root);
 
   auto read = [](const std::string& p) {
     std::ifstream in(p, std::ios::binary);
@@ -457,16 +468,18 @@ std::vector<Finding> lint_tree(const std::string& root, const Options& options) 
   // Pre-pass: names declared unordered anywhere (a member declared in a
   // header is usually iterated in the matching .cpp).
   Options opts = options;
-  for (const std::string& f : files) {
-    const Lexed lx = lex(read(f));
+  for (const TreeFile& f : files) {
+    const Lexed lx = lex(read(f.path));
     for (const std::string& name : unordered_names(lx.tokens))
       opts.known_unordered.push_back(name);
   }
 
   std::vector<Finding> findings;
-  for (const std::string& f : files) {
-    auto file_findings = lint_file(f, read(f), opts);
-    findings.insert(findings.end(), file_findings.begin(), file_findings.end());
+  for (const TreeFile& f : files) {
+    for (Finding& finding : lint_file(f.relative, read(f.path), opts)) {
+      finding.file = f.path;
+      findings.push_back(std::move(finding));
+    }
   }
   std::sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
     if (a.file != b.file) return a.file < b.file;

@@ -91,14 +91,26 @@ struct Options {
   std::vector<std::string> known_unordered;
 };
 
-/// Lint one in-memory file. `path` drives the per-rule path scoping
-/// (allowlists use substring match on a '/'-normalized path).
+/// Lint one in-memory file. `path` is relative to the tree root ('/'
+/// separators): the per-rule scopes match its leading directories (src/,
+/// src/radio/, bench/, ...). Findings name `path`.
 [[nodiscard]] std::vector<Finding> lint_file(std::string_view path, std::string_view content,
                                              const Options& options = {});
 
-/// Lint every .cpp/.hpp under `root`'s src/, examples/, bench/, tests/ and
-/// tools/ directories (skipping build dirs and the intentionally-bad
-/// tests/lint_fixtures). Findings are sorted by (file, line, rule).
+/// One source file of a tree walk.
+struct TreeFile {
+  std::string path;      // the root joined with `relative`: what reports name
+  std::string relative;  // relative to the root: what rule scopes match
+};
+
+/// Every .cpp/.hpp/.h/.cc under `root`'s src/, examples/, bench/, tests/ and
+/// tools/ directories, sorted by path. Skips the intentionally-bad
+/// lint/taint fixtures and build directories, judged on the relative path
+/// so the root's own location never matters. blap-taint walks the same set.
+[[nodiscard]] std::vector<TreeFile> tree_files(const std::string& root);
+
+/// Lint tree_files(root); findings name the root-joined paths and are sorted
+/// by (file, line, rule).
 [[nodiscard]] std::vector<Finding> lint_tree(const std::string& root,
                                              const Options& options = {});
 

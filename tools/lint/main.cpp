@@ -8,6 +8,7 @@
 // 2 = usage or I/O error.
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -72,8 +73,14 @@ int main(int argc, char** argv) {
       }
       std::ostringstream buf;
       buf << in.rdbuf();
-      auto file_findings = blap::lint::lint_file(f, buf.str(), options);
-      findings.insert(findings.end(), file_findings.begin(), file_findings.end());
+      // Rules scope on the path relative to --root; findings name `f`.
+      std::error_code ec;
+      std::string relative = std::filesystem::relative(f, root, ec).generic_string();
+      if (ec || relative.empty()) relative = f;
+      for (auto& finding : blap::lint::lint_file(relative, buf.str(), options)) {
+        finding.file = f;
+        findings.push_back(std::move(finding));
+      }
     }
   }
 

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "lint.hpp"
 #include "taint.hpp"
 
 namespace {
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
   }
 
   if (files.empty()) {
-    files = blap::taint::tree_files(root);
+    for (const blap::lint::TreeFile& f : blap::lint::tree_files(root)) files.push_back(f.path);
     if (!compile_commands.empty()) {
       for (std::string& f : blap::taint::compile_commands_files(compile_commands)) {
         std::error_code ec;

@@ -3,7 +3,6 @@
 #include "taint.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -677,29 +676,6 @@ std::vector<std::string> compile_commands_files(const std::string& json_path) {
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-std::vector<std::string> tree_files(const std::string& root) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> files;
-  for (const char* dir : {"src", "examples", "bench", "tests", "tools"}) {
-    const fs::path base = fs::path(root) / dir;
-    if (!fs::exists(base)) continue;
-    for (const auto& entry : fs::recursive_directory_iterator(base)) {
-      if (!entry.is_regular_file()) continue;
-      std::string p = entry.path().string();
-      std::replace(p.begin(), p.end(), '\\', '/');
-      if (path_has(p, "lint_fixtures") || path_has(p, "taint_fixtures") ||
-          path_has(p, "/build"))
-        continue;
-      const std::string ext = entry.path().extension().string();
-      if (ext == ".cpp" || ext == ".hpp" || ext == ".h" || ext == ".cc")
-        files.push_back(std::move(p));
-    }
-  }
-  std::sort(files.begin(), files.end());
-  files.erase(std::unique(files.begin(), files.end()), files.end());
-  return files;
 }
 
 std::string to_string(const Finding& finding) {

@@ -94,11 +94,6 @@ struct NamedSource {
 /// Translation units listed in a compile_commands.json ("file" entries).
 [[nodiscard]] std::vector<std::string> compile_commands_files(const std::string& json_path);
 
-/// All C++ sources under root's src/examples/bench/tests/tools trees,
-/// excluding lint/taint fixtures and build directories. Headers are not in
-/// compile_commands.json, so tree runs union this with the TU list.
-[[nodiscard]] std::vector<std::string> tree_files(const std::string& root);
-
 [[nodiscard]] std::string to_string(const Finding& finding);
 
 /// Machine-readable report (findings, declassified sites, counters).
