@@ -1720,42 +1720,40 @@ Controller::Link* Controller::link_by_radio(radio::LinkId id) {
 
 namespace {
 
-void save_u256(state::StateWriter& w, const crypto::U256& v) {
-  for (const std::uint64_t limb : v.limbs()) w.u64(limb);
+// Sub-lists of the SSP context.
+template <state::StateIo Io, class V>
+void u256_fields(Io& io, V& v) {
+  std::array<std::uint64_t, crypto::U256::kLimbs> limbs = v.limbs();
+  io.field(limbs);
+  if constexpr (Io::kLoading) v = crypto::U256(limbs);
 }
 
-crypto::U256 load_u256(state::StateReader& r) {
-  std::array<std::uint64_t, crypto::U256::kLimbs> limbs{};
-  for (std::uint64_t& limb : limbs) limb = r.u64();
-  return crypto::U256(limbs);
+template <state::StateIo Io, class Point>
+void point_fields(Io& io, Point& point) {
+  u256_fields(io, point.x);
+  u256_fields(io, point.y);
+  io.field(point.infinity);
 }
 
-void save_point(state::StateWriter& w, const crypto::EcPoint& point) {
-  save_u256(w, point.x);
-  save_u256(w, point.y);
-  w.boolean(point.infinity);
+template <state::StateIo Io, class Triplet>
+void iocap_fields(Io& io, Triplet& triplet) {
+  io.field(triplet.io_capability);
+  io.field(triplet.oob_data_present);
+  io.field(triplet.auth_req);
 }
 
-crypto::EcPoint load_point(state::StateReader& r) {
-  crypto::EcPoint point;
-  point.x = load_u256(r);
-  point.y = load_u256(r);
-  point.infinity = r.boolean();
-  return point;
-}
-
-void save_iocap(state::StateWriter& w, const crypto::IoCapTriplet& triplet) {
-  w.u8(triplet.io_capability);
-  w.u8(triplet.oob_data_present);
-  w.u8(triplet.auth_req);
-}
-
-crypto::IoCapTriplet load_iocap(state::StateReader& r) {
-  crypto::IoCapTriplet triplet;
-  triplet.io_capability = r.u8();
-  triplet.oob_data_present = r.u8();
-  triplet.auth_req = r.u8();
-  return triplet;
+/// The curve a stored coordinate size names. Only a responder that has not
+/// yet seen the initiator's key has none: an initiator's context always
+/// carries its curve (start_pairing_as_initiator), and send_public_key
+/// dereferences it.
+const crypto::EcCurve* curve_of(state::StateReader& r, std::uint8_t coordinate_size,
+                                bool initiator) {
+  if (coordinate_size == 24) return &crypto::EcCurve::p192();
+  if (coordinate_size == 32) return &crypto::EcCurve::p256();
+  if (coordinate_size != 0 || initiator)
+    r.refuse(1, "invalid SSP curve byte " + std::to_string(coordinate_size) +
+                    (initiator ? " in an initiator context" : ""));
+  return nullptr;
 }
 
 }  // namespace
@@ -1771,207 +1769,122 @@ bool Controller::quiescent() const {
   return true;
 }
 
-void Controller::save_state(state::StateWriter& w) const {
-  w.fixed(config_.address.bytes());
-  w.u32(config_.class_of_device.raw());
-  w.str(config_.name);
-  w.boolean(config_.secure_connections);
-  w.u64(config_.page_scan_interval);
-  w.u64(config_.page_timeout);
-  w.u64(config_.connection_accept_timeout);
-  w.u64(config_.lmp_response_timeout);
-  w.u32(config_.arq_max_retransmissions);
-  w.u64(config_.arq_backoff_base);
-  w.u64(config_.supervision_timeout);
+template <state::StateIo Io, state::ConstOnSave<Io> Self>
+void Controller::persist(Io& io, Self& self) {
+  auto& config = self.config_;
+  io.field(config.address);
+  io.field(config.class_of_device);
+  io.field(config.name);
+  io.field(config.secure_connections);
+  io.field(config.page_scan_interval);
+  io.field(config.page_timeout);
+  io.field(config.connection_accept_timeout);
+  io.field(config.lmp_response_timeout);
+  io.field(config.arq_max_retransmissions);
+  io.field(config.arq_backoff_base);
+  io.field(config.supervision_timeout);
 
-  for (const std::uint64_t word : rng_.state()) w.u64(word);
-  w.u8(static_cast<std::uint8_t>(scan_enable_));
-  w.boolean(simple_pairing_mode_);
-  w.boolean(inquiring_);
-  w.u16(next_handle_);
+  io.field(self.rng_);
+  io.field(self.scan_enable_);
+  io.field(self.simple_pairing_mode_);
+  io.field(self.inquiring_);
+  io.field(self.next_handle_);
 
-  w.u64(links_.size());
-  for (const auto& [handle, link] : links_) {
-    w.u64(link.radio_link);
-    w.u16(link.handle);
-    w.fixed(link.peer.bytes());
-    w.boolean(link.initiator);
-    w.u8(static_cast<std::uint8_t>(link.state));
-    w.u8(static_cast<std::uint8_t>(link.auth));
-    w.boolean(link.auth_requested_by_host);
+  const auto link_fields = [&io](auto& link) {
+    io.field(link.radio_link);
+    io.field(link.handle);
+    io.field(link.peer);
+    io.field(link.initiator);
+    io.field(link.state);
+    io.field(link.auth);
+    io.field(link.auth_requested_by_host);
     // blap-taint: declassified — snapshot key section: link keys are part of the
     // length-framed controller state a fork/replay trial must restore bit-exactly
-    w.fixed(link.key);
-    w.boolean(link.have_key);
-    w.fixed(link.challenge);
-    w.fixed(link.pending_au_rand);
-    w.boolean(link.have_pending_au_rand);
-    w.boolean(link.pending_au_rand_is_sc);
-    w.fixed(link.sc_expected_sres);
-    w.boolean(link.sc_in_use);
-    w.fixed(link.aco);
-    w.boolean(link.have_aco);
+    io.field(link.key);
+    io.field(link.have_key);
+    io.field(link.challenge);
+    io.field(link.pending_au_rand);
+    io.field(link.have_pending_au_rand);
+    io.field(link.pending_au_rand_is_sc);
+    io.field(link.sc_expected_sres);
+    io.field(link.sc_in_use);
+    io.field(link.aco);
+    io.field(link.have_aco);
 
-    w.boolean(link.ssp != nullptr);
-    if (link.ssp != nullptr) {
-      const SspContext& ssp = *link.ssp;
-      w.boolean(ssp.initiator);
-      w.u8(ssp.curve != nullptr
-               ? static_cast<std::uint8_t>(ssp.curve->coordinate_size())
-               : 0);
-      save_u256(w, ssp.local_keypair.private_key);
-      save_point(w, ssp.local_keypair.public_key);
-      save_point(w, ssp.peer_public);
-      w.boolean(ssp.have_peer_key);
-      w.fixed(ssp.local_nonce);
-      w.fixed(ssp.peer_nonce);
-      w.boolean(ssp.have_peer_nonce);
+    io.opt(link.ssp, [&io](auto& ssp) {
+      io.field(ssp.initiator);
+      std::uint8_t coordinate_size =
+          ssp.curve != nullptr ? static_cast<std::uint8_t>(ssp.curve->coordinate_size()) : 0;
+      io.field(coordinate_size);
+      if constexpr (Io::kLoading) ssp.curve = curve_of(io, coordinate_size, ssp.initiator);
+      u256_fields(io, ssp.local_keypair.private_key);
+      point_fields(io, ssp.local_keypair.public_key);
+      point_fields(io, ssp.peer_public);
+      io.field(ssp.have_peer_key);
+      io.field(ssp.local_nonce);
+      io.field(ssp.peer_nonce);
+      io.field(ssp.have_peer_nonce);
       // blap-taint: declassified — snapshot key section (SSP commitment)
-      w.fixed(ssp.peer_commitment);
-      w.boolean(ssp.have_commitment);
-      save_iocap(w, ssp.local_iocap);
-      save_iocap(w, ssp.peer_iocap);
-      save_u256(w, ssp.dhkey);
-      w.boolean(ssp.have_dhkey);
-      w.boolean(ssp.local_confirmed);
-      w.bytes(ssp.held_dhkey_check);
-    }
+      io.field(ssp.peer_commitment);
+      io.field(ssp.have_commitment);
+      iocap_fields(io, ssp.local_iocap);
+      iocap_fields(io, ssp.peer_iocap);
+      u256_fields(io, ssp.dhkey);
+      io.field(ssp.have_dhkey);
+      io.field(ssp.local_confirmed);
+      io.field(ssp.held_dhkey_check);
+    });
 
-    w.boolean(link.legacy != nullptr);
-    if (link.legacy != nullptr) {
-      const LegacyContext& legacy = *link.legacy;
-      w.boolean(legacy.initiator);
-      w.fixed(legacy.in_rand);
-      w.boolean(legacy.have_in_rand);
+    io.opt(link.legacy, [&io](auto& legacy) {
+      io.field(legacy.initiator);
+      io.field(legacy.in_rand);
+      io.field(legacy.have_in_rand);
       // blap-taint: declassified — snapshot key section (legacy Kinit)
-      w.fixed(legacy.kinit);
-      w.boolean(legacy.have_kinit);
-      w.fixed(legacy.local_lk_rand);
-      w.boolean(legacy.sent_comb);
-    }
+      io.field(legacy.kinit);
+      io.field(legacy.have_kinit);
+      io.field(legacy.local_lk_rand);
+      io.field(legacy.sent_comb);
+    });
 
-    w.boolean(link.encrypted);
+    io.field(link.encrypted);
     // blap-taint: declassified — snapshot key section (E0 session key)
-    w.fixed(link.enc_key);
-    w.fixed(link.pending_en_rand);
-    w.u32(link.tx_counter);
-    w.u32(link.rx_counter);
-    w.u64(link.tx_queue.size());
-    for (const Bytes& frame : link.tx_queue) w.bytes(frame);
-    w.boolean(link.tx_busy);
-    w.u64(link.obs_auth_span);
-    w.u64(link.obs_pair_span);
-    w.u64(link.obs_enc_span);
-  }
-}
-
-void Controller::load_state(state::StateReader& r, state::RestoreMode mode) {
-  config_.address = BdAddr(r.fixed<BdAddr::kSize>());
-  config_.class_of_device = ClassOfDevice(r.u32());
-  r.str(config_.name);
-  config_.secure_connections = r.boolean();
-  config_.page_scan_interval = r.u64();
-  config_.page_timeout = r.u64();
-  config_.connection_accept_timeout = r.u64();
-  config_.lmp_response_timeout = r.u64();
-  config_.arq_max_retransmissions = r.u32();
-  config_.arq_backoff_base = r.u64();
-  config_.supervision_timeout = r.u64();
-
-  std::array<std::uint64_t, 4> words{};
-  for (std::uint64_t& word : words) word = r.u64();
-  rng_.set_state(words);
-  scan_enable_ = static_cast<hci::ScanEnable>(r.u8());
-  simple_pairing_mode_ = r.boolean();
-  inquiring_ = r.boolean();
-  next_handle_ = r.u16();
-
-  std::map<hci::ConnectionHandle, Link> restored;
-  const std::uint64_t link_count = r.u64();
-  for (std::uint64_t i = 0; i < link_count && r.ok(); ++i) {
-    Link link;
-    link.radio_link = r.u64();
-    link.handle = r.u16();
-    link.peer = BdAddr(r.fixed<BdAddr::kSize>());
-    link.initiator = r.boolean();
-    link.state = static_cast<LinkState>(r.u8());
-    link.auth = static_cast<AuthState>(r.u8());
-    link.auth_requested_by_host = r.boolean();
-    link.key = r.fixed<std::tuple_size_v<crypto::LinkKey>>();
-    link.have_key = r.boolean();
-    link.challenge = r.fixed<std::tuple_size_v<crypto::Rand128>>();
-    link.pending_au_rand = r.fixed<std::tuple_size_v<crypto::Rand128>>();
-    link.have_pending_au_rand = r.boolean();
-    link.pending_au_rand_is_sc = r.boolean();
-    link.sc_expected_sres = r.fixed<std::tuple_size_v<crypto::Sres>>();
-    link.sc_in_use = r.boolean();
-    link.aco = r.fixed<std::tuple_size_v<crypto::Aco>>();
-    link.have_aco = r.boolean();
-
-    if (r.boolean()) {
-      auto ssp = std::make_unique<SspContext>();
-      ssp->initiator = r.boolean();
-      const std::uint8_t coord_size = r.u8();
-      if (coord_size == 24) ssp->curve = &crypto::EcCurve::p192();
-      else if (coord_size == 32) ssp->curve = &crypto::EcCurve::p256();
-      else ssp->curve = nullptr;
-      ssp->local_keypair.private_key = load_u256(r);
-      ssp->local_keypair.public_key = load_point(r);
-      ssp->peer_public = load_point(r);
-      ssp->have_peer_key = r.boolean();
-      ssp->local_nonce = r.fixed<std::tuple_size_v<crypto::Rand128>>();
-      ssp->peer_nonce = r.fixed<std::tuple_size_v<crypto::Rand128>>();
-      ssp->have_peer_nonce = r.boolean();
-      ssp->peer_commitment = r.fixed<std::tuple_size_v<crypto::LinkKey>>();
-      ssp->have_commitment = r.boolean();
-      ssp->local_iocap = load_iocap(r);
-      ssp->peer_iocap = load_iocap(r);
-      ssp->dhkey = load_u256(r);
-      ssp->have_dhkey = r.boolean();
-      ssp->local_confirmed = r.boolean();
-      r.bytes(ssp->held_dhkey_check);
-      link.ssp = std::move(ssp);
-    }
-
-    if (r.boolean()) {
-      auto legacy = std::make_unique<LegacyContext>();
-      legacy->initiator = r.boolean();
-      legacy->in_rand = r.fixed<std::tuple_size_v<crypto::Rand128>>();
-      legacy->have_in_rand = r.boolean();
-      legacy->kinit = r.fixed<std::tuple_size_v<crypto::LinkKey>>();
-      legacy->have_kinit = r.boolean();
-      legacy->local_lk_rand = r.fixed<std::tuple_size_v<crypto::Rand128>>();
-      legacy->sent_comb = r.boolean();
-      link.legacy = std::move(legacy);
-    }
-
-    link.encrypted = r.boolean();
-    link.enc_key = r.fixed<std::tuple_size_v<crypto::EncryptionKey>>();
-    link.pending_en_rand = r.fixed<std::tuple_size_v<crypto::Rand128>>();
-    link.tx_counter = r.u32();
-    link.rx_counter = r.u32();
-    r.read_vector(link.tx_queue, [&r](Bytes& frame) { r.bytes(frame); });
-    link.tx_busy = r.boolean();
-    link.obs_auth_span = r.u64();
-    link.obs_pair_span = r.u64();
-    link.obs_enc_span = r.u64();
-
+    io.field(link.enc_key);
+    io.field(link.pending_en_rand);
+    io.field(link.tx_counter);
+    io.field(link.rx_counter);
+    io.seq(link.tx_queue);
+    io.field(link.tx_busy);
+    io.field(link.obs_auth_span);
+    io.field(link.obs_pair_span);
+    io.field(link.obs_enc_span);
+  };
+  if constexpr (Io::kLoading) {
+    // Links load into a new map, committed only if the reader is still ok.
     // Timers are EventHandles: in kInPlace mode the live handles on the
     // existing link entry stay armed; after a rewind every handle is stale
     // by construction and a default handle is the correct restored value.
-    if (mode == state::RestoreMode::kInPlace) {
-      if (const auto it = links_.find(link.handle); it != links_.end()) {
-        link.lmp_timer = it->second.lmp_timer;
-        link.accept_timer = it->second.accept_timer;
-        link.supervision_timer = it->second.supervision_timer;
+    std::map<hci::ConnectionHandle, Link> restored;
+    io.map(restored, state::Duplicates::kFirstWins, [&](auto& handle, Link& link) {
+      link_fields(link);
+      handle = link.handle;
+      const auto live = self.links_.find(handle);
+      if (io.mode() == state::RestoreMode::kInPlace && live != self.links_.end()) {
+        link.lmp_timer = live->second.lmp_timer;
+        link.accept_timer = live->second.accept_timer;
+        link.supervision_timer = live->second.supervision_timer;
       }
-    }
-    restored.emplace(link.handle, std::move(link));
+    });
+    if (io.ok()) self.links_ = std::move(restored);
+    // The medium's section restored before this one and indexed our
+    // *pre-restore* address and scan bits; re-sync now that they are final.
+    self.medium_.notify_endpoint_changed(&self);
+  } else {
+    io.map(self.links_, state::Duplicates::kFirstWins,
+           [&](auto&, const Link& link) { link_fields(link); });
   }
-  if (r.ok()) links_ = std::move(restored);
-  // The medium's section restored before this one and indexed our
-  // *pre-restore* address and scan bits; re-sync now that they are final.
-  medium_.notify_endpoint_changed(this);
 }
+
+template void Controller::persist(state::StateWriter&, const Controller&);
+template void Controller::persist(state::StateReader&, Controller&);
 
 }  // namespace blap::controller

@@ -111,10 +111,11 @@ class Controller final : public radio::RadioEndpoint {
   /// precondition: no inquiry in flight and every link fully connected with
   /// no pairing/authentication exchange or ARQ transmission open. The SSP
   /// curve is serialized by coordinate width (24 → P-192, 32 → P-256) since
-  /// EcCurve instances are process-global singletons.
+  /// EcCurve instances are process-global singletons; a load refuses any
+  /// other width, and a missing curve on an initiator's context.
   [[nodiscard]] bool quiescent() const;
-  void save_state(state::StateWriter& w) const;
-  void load_state(state::StateReader& r, state::RestoreMode mode);
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self);
 
   /// Replace the controller's random stream (the per-trial reseed path).
   void set_rng(Rng rng) { rng_ = rng; }

@@ -50,23 +50,18 @@ void Device::spoof_identity(const BdAddr& address, ClassOfDevice class_of_device
   controller_->set_class_of_device(class_of_device);
 }
 
-void Device::save_state(state::StateWriter& w) const {
-  w.boolean(radio_enabled_);
-  w.fixed(spec_.address.bytes());
-  w.u32(spec_.class_of_device.raw());
-  transport_->save_state(w);
-  controller_->save_state(w);
-  host_->save_state(w);
+template <state::StateIo Io, state::ConstOnSave<Io> Self>
+void Device::persist(Io& io, Self& self) {
+  io.field(self.radio_enabled_);
+  io.field(self.spec_.address);
+  io.field(self.spec_.class_of_device);
+  io.field(*self.transport_);
+  io.field(*self.controller_);
+  io.field(*self.host_);
 }
 
-void Device::load_state(state::StateReader& r, state::RestoreMode mode) {
-  radio_enabled_ = r.boolean();
-  spec_.address = BdAddr(r.fixed<BdAddr::kSize>());
-  spec_.class_of_device = ClassOfDevice(r.u32());
-  transport_->load_state(r, mode);
-  controller_->load_state(r, mode);
-  host_->load_state(r, mode);
-}
+template void Device::persist(state::StateWriter&, const Device&);
+template void Device::persist(state::StateReader&, Device&);
 
 Simulation::Simulation(std::uint64_t seed)
     : rng_(seed), medium_(scheduler_, Rng(seed ^ 0x9E3779B97F4A7C15ULL)) {}

@@ -66,12 +66,12 @@ class Device {
 
   /// Snapshot support: the device flags plus transport, controller and host
   /// state in fixed order. The medium's attachment list is serialized by
-  /// the medium itself, so load_state only restores the local flag.
+  /// the medium itself, so a load only restores the local flag.
   [[nodiscard]] bool quiescent() const {
     return controller_->quiescent() && host_->quiescent();
   }
-  void save_state(state::StateWriter& w) const;
-  void load_state(state::StateReader& r, state::RestoreMode mode);
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self);
 
  private:
   radio::RadioMedium& medium_;

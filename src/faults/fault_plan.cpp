@@ -73,47 +73,29 @@ void ChannelModel::corrupt(Bytes& frame) {
   }
 }
 
-void FaultPlan::save_state(state::StateWriter& w) const {
-  w.u64(seed);
-  w.f64(loss);
-  w.boolean(burst_enabled);
-  w.f64(p_enter_burst);
-  w.f64(p_exit_burst);
-  w.f64(burst_loss);
-  w.f64(corruption);
-  w.u64(jam_windows.size());
-  for (const JamWindow& window : jam_windows) {
-    w.u64(window.begin);
-    w.u64(window.end);
-  }
-}
-
-FaultPlan FaultPlan::load_state(state::StateReader& r) {
-  FaultPlan plan;
-  plan.seed = r.u64();
-  plan.loss = r.f64();
-  plan.burst_enabled = r.boolean();
-  plan.p_enter_burst = r.f64();
-  plan.p_exit_burst = r.f64();
-  plan.burst_loss = r.f64();
-  plan.corruption = r.f64();
-  r.read_vector(plan.jam_windows, [&r](JamWindow& window) {
-    window.begin = r.u64();
-    window.end = r.u64();
+template <state::StateIo Io, state::ConstOnSave<Io> Self>
+void FaultPlan::persist(Io& io, Self& self) {
+  io.field(self.seed);
+  io.field(self.loss);
+  io.field(self.burst_enabled);
+  io.field(self.p_enter_burst);
+  io.field(self.p_exit_burst);
+  io.field(self.burst_loss);
+  io.field(self.corruption);
+  io.seq(self.jam_windows, [&io](auto& window) {
+    io.field(window.begin);
+    io.field(window.end);
   });
-  return plan;
 }
+template void FaultPlan::persist(state::StateWriter&, const FaultPlan&);
+template void FaultPlan::persist(state::StateReader&, FaultPlan&);
 
-void ChannelModel::save_state(state::StateWriter& w) const {
-  for (const std::uint64_t word : rng_.state()) w.u64(word);
-  w.boolean(in_burst_);
+template <state::StateIo Io, state::ConstOnSave<Io> Self>
+void ChannelModel::persist(Io& io, Self& self) {
+  io.field(self.rng_);
+  io.field(self.in_burst_);
 }
-
-void ChannelModel::load_state(state::StateReader& r) {
-  std::array<std::uint64_t, 4> words{};
-  for (std::uint64_t& word : words) word = r.u64();
-  rng_.set_state(words);
-  in_burst_ = r.boolean();
-}
+template void ChannelModel::persist(state::StateWriter&, const ChannelModel&);
+template void ChannelModel::persist(state::StateReader&, ChannelModel&);
 
 }  // namespace blap::faults

@@ -78,8 +78,8 @@ struct FaultPlan {
 
   /// Snapshot/bundle serialization: a plan is plain data, round-tripped
   /// field by field.
-  void save_state(state::StateWriter& w) const;
-  [[nodiscard]] static FaultPlan load_state(state::StateReader& r);
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self);
 };
 
 /// Why (or whether) a frame survived the channel.
@@ -112,10 +112,10 @@ class ChannelModel {
   [[nodiscard]] bool in_burst() const { return in_burst_; }
 
   /// Snapshot support: the mutable per-link channel state (Rng stream +
-  /// burst flag). The plan itself is serialized by the owning medium;
-  /// load_state is called on a model freshly built from that plan.
-  void save_state(state::StateWriter& w) const;
-  void load_state(state::StateReader& r);
+  /// burst flag). The plan itself is serialized by the owning medium; the
+  /// load runs on a model freshly built from that plan.
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self);
 
  private:
   FaultPlan plan_;  // by value: the model must not dangle if the medium's plan is swapped

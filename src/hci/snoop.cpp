@@ -235,28 +235,22 @@ std::string SnoopLog::format_table() const {
   return out;
 }
 
-void SnoopLog::save_state(state::StateWriter& w) const {
-  w.boolean(static_cast<bool>(filter_));
-  w.u64(records_.size());
-  for (const SnoopRecord& record : records_) {
-    w.u64(record.timestamp_us);
-    w.u8(static_cast<std::uint8_t>(record.direction));
-    w.u8(static_cast<std::uint8_t>(record.packet.type));
-    w.bytes(record.packet.payload);
-    w.u32(record.original_length);
-  }
-}
-
-void SnoopLog::load_state(state::StateReader& r, state::RestoreMode mode) {
-  const bool had_filter = r.boolean();
-  if (mode == state::RestoreMode::kRewind && !had_filter) filter_ = nullptr;
-  r.read_vector(records_, [&r](SnoopRecord& record) {
-    record.timestamp_us = r.u64();
-    record.direction = static_cast<Direction>(r.u8());
-    record.packet.type = static_cast<PacketType>(r.u8());
-    r.bytes(record.packet.payload);
-    record.original_length = r.u32();
+template <state::StateIo Io, state::ConstOnSave<Io> Self>
+void SnoopLog::persist(Io& io, Self& self) {
+  bool had_filter = static_cast<bool>(self.filter_);
+  io.field(had_filter);
+  if constexpr (Io::kLoading)
+    if (io.mode() == state::RestoreMode::kRewind && !had_filter) self.filter_ = nullptr;
+  io.seq(self.records_, [&io](auto& record) {
+    io.field(record.timestamp_us);
+    io.field(record.direction);
+    io.field(record.packet.type);
+    io.field(record.packet.payload);
+    io.field(record.original_length);
   });
 }
+
+template void SnoopLog::persist(state::StateWriter&, const SnoopLog&);
+template void SnoopLog::persist(state::StateReader&, SnoopLog&);
 
 }  // namespace blap::hci

@@ -174,13 +174,13 @@ class SnoopLog {
   [[nodiscard]] std::string format_table() const;
 
   /// Snapshot support. Records round-trip field by field — serialize()/
-  /// parse() would lose original_length==0 distinctions — and load_state
+  /// parse() would lose original_length==0 distinctions — and a load
   /// bypasses the filter (the records were already filtered when first
   /// appended). A kRewind restore also clears a filter installed after a
   /// filter-free capture; a capture-time filter cannot be reconstructed and
   /// is left in place.
-  void save_state(state::StateWriter& w) const;
-  void load_state(state::StateReader& r, state::RestoreMode mode);
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self);
 
  private:
   std::vector<SnoopRecord> records_;

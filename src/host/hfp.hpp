@@ -60,25 +60,15 @@ class HfpProfile {
 
   /// Snapshot support: the full gateway-side state (call flag, tx sequence,
   /// received audio, AT log). HFP holds no completion callbacks.
-  void save_state(state::StateWriter& w) const {
-    w.boolean(call_active_);
-    w.u16(tx_sequence_);
-    w.u64(received_.size());
-    for (const AudioFrame& frame : received_) {
-      w.u16(frame.sequence);
-      w.bytes(frame.samples);
-    }
-    w.u64(at_log_.size());
-    for (const std::string& line : at_log_) w.str(line);
-  }
-  void load_state(state::StateReader& r) {
-    call_active_ = r.boolean();
-    tx_sequence_ = r.u16();
-    r.read_vector(received_, [&r](AudioFrame& frame) {
-      frame.sequence = r.u16();
-      r.bytes(frame.samples);
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self) {
+    io.field(self.call_active_);
+    io.field(self.tx_sequence_);
+    io.seq(self.received_, [&io](auto& frame) {
+      io.field(frame.sequence);
+      io.field(frame.samples);
     });
-    r.read_vector(at_log_, [&r](std::string& line) { r.str(line); });
+    io.seq(self.at_log_);
   }
 
  private:

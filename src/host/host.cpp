@@ -1098,229 +1098,129 @@ bool HostStack::quiescent() const {
          pbap_.quiescent() && map_.quiescent();
 }
 
-void HostStack::save_state(state::StateWriter& w) const {
+template <state::StateIo Io, state::ConstOnSave<Io> Self>
+void HostStack::persist(Io& io, Self& self) {
   // Config (trials mutate io_capability, hci_dump_available, simple_pairing,
   // fault_recovery, ... — all of it is restored).
-  w.str(config_.device_name);
-  w.u8(static_cast<std::uint8_t>(config_.version));
-  w.u8(static_cast<std::uint8_t>(config_.io_capability));
-  w.u8(config_.auth_requirements);
-  w.boolean(config_.auto_accept_connections);
-  w.u64(config_.acl_idle_timeout);
-  w.boolean(config_.hci_dump_available);
-  w.boolean(config_.detect_page_blocking);
+  auto& config = self.config_;
+  io.field(config.device_name);
+  io.field(config.version);
+  io.field(config.io_capability);
+  io.field(config.auth_requirements);
+  io.field(config.auto_accept_connections);
+  io.field(config.acl_idle_timeout);
+  io.field(config.hci_dump_available);
+  io.field(config.detect_page_blocking);
   // blap-taint: declassified — snapshot key section (legacy PIN)
-  w.str(config_.pin_code);
-  w.boolean(config_.simple_pairing);
-  w.boolean(config_.fault_recovery);
-  w.u64(config_.pair_op_watchdog);
+  io.field(config.pin_code);
+  io.field(config.simple_pairing);
+  io.field(config.fault_recovery);
+  io.field(config.pair_op_watchdog);
 
-  w.fixed(own_address_.bytes());
-  w.boolean(hooks_.ignore_link_key_request);
-  w.u64(hooks_.ploc_delay);
-  w.boolean(hooks_.ignore_connection_request);
+  io.field(self.own_address_);
+  io.field(self.hooks_.ignore_link_key_request);
+  io.field(self.hooks_.ploc_delay);
+  io.field(self.hooks_.ignore_connection_request);
 
-  security_.save_state(w);
-  l2cap_.save_state(w);
-  sdp_server_.save_state(w);
-  pan_.save_state(w);
-  pbap_.save_state(w);
-  hfp_.save_state(w);
-  map_.save_state(w);
+  io.field(self.security_);
+  io.field(self.l2cap_);
+  io.field(self.sdp_server_);
+  io.field(self.pan_);
+  io.field(self.pbap_);
+  io.field(self.hfp_);
+  io.field(self.map_);
+  io.map(self.hfp_channels_, state::Duplicates::kFirstWins, [&io](auto& peer, auto& channel) {
+    io.field(peer);
+    io.field(channel);
+  });
+  io.opt(self.map_read_, [&io](auto& read) {
+    io.field(read.channel);
+    io.seq(read.handles);
+    io.field(read.next_index);
+    io.seq(read.bodies);
+  });
 
-  w.u64(hfp_channels_.size());
-  for (const auto& [peer, channel] : hfp_channels_) {
-    w.fixed(peer.bytes());
-    w.u16(channel.acl_handle);
-    w.u16(channel.local_cid);
-    w.u16(channel.remote_cid);
-    w.u16(channel.psm);
+  bool default_agent = self.user_agent_ == &self.default_user_;
+  io.field(default_agent);
+  if constexpr (Io::kLoading)
+    if (io.mode() == state::RestoreMode::kRewind && default_agent)
+      self.user_agent_ = &self.default_user_;
+
+  const auto acl_fields = [&io](auto& acl) {
+    io.field(acl.handle);
+    io.field(acl.peer);
+    io.field(acl.initiator);
+    io.field(acl.authenticated);
+    io.field(acl.encrypted);
+    io.field(acl.peer_io);
+    io.field(acl.is_pairing_initiator);
+    io.field(acl.degraded);
+    io.field(acl.last_activity);
+  };
+  if constexpr (Io::kLoading) {
+    // ACLs load into a new map, committed only if the reader is still ok:
+    // in kInPlace mode the armed idle timers keep their handles, read from
+    // the old map; in kRewind mode every handle is stale by construction
+    // (the scheduler was rewound), so a default EventHandle is correct.
+    std::map<hci::ConnectionHandle, Acl> restored;
+    io.map(restored, state::Duplicates::kFirstWins, [&](auto& handle, Acl& acl) {
+      acl_fields(acl);
+      handle = acl.handle;
+      const auto live = self.acls_.find(handle);
+      if (io.mode() == state::RestoreMode::kInPlace && live != self.acls_.end())
+        acl.idle_timer = live->second.idle_timer;
+    });
+    if (io.ok()) self.acls_ = std::move(restored);
+  } else {
+    io.map(self.acls_, state::Duplicates::kFirstWins,
+           [&](auto&, const Acl& acl) { acl_fields(acl); });
   }
 
-  w.boolean(map_read_.has_value());
-  if (map_read_.has_value()) {
-    w.u16(map_read_->channel.acl_handle);
-    w.u16(map_read_->channel.local_cid);
-    w.u16(map_read_->channel.remote_cid);
-    w.u16(map_read_->channel.psm);
-    w.u64(map_read_->handles.size());
-    for (const std::uint16_t handle : map_read_->handles) w.u16(handle);
-    w.u64(map_read_->next_index);
-    w.u64(map_read_->bodies.size());
-    for (const std::string& body : map_read_->bodies) w.str(body);
-  }
+  io.field(self.detected_page_blocking_count_);
+  io.seq(self.discovery_results_, [&io](auto& found) {
+    io.field(found.address);
+    io.field(found.class_of_device);
+    io.field(found.name);
+    io.field(found.rssi);
+  });
+  io.field(self.ploc_active_);
+  io.seq(self.ploc_queue_, [&io](auto& packet) {
+    io.field(packet.type);
+    io.field(packet.payload);
+  });
+  io.field(self.snoop_enabled_);
+  io.field(self.snoop_);
+  io.field(self.ignored_link_key_requests_);
+  io.seq(self.popups_, [&io](auto& popup) {
+    io.field(popup.peer);
+    io.field(popup.shown_to_user);
+    io.opt(popup.numeric_value);
+    io.field(popup.accepted);
+    io.field(popup.at);
+  });
+  io.seq(self.pairing_events_, [&io](auto& event) {
+    io.field(event.first);
+    io.field(event.second);
+  });
 
-  w.boolean(user_agent_ == &default_user_);
-
-  w.u64(acls_.size());
-  for (const auto& [handle, acl] : acls_) {
-    w.u16(acl.handle);
-    w.fixed(acl.peer.bytes());
-    w.boolean(acl.initiator);
-    w.boolean(acl.authenticated);
-    w.boolean(acl.encrypted);
-    w.u8(static_cast<std::uint8_t>(acl.peer_io));
-    w.boolean(acl.is_pairing_initiator);
-    w.boolean(acl.degraded);
-    w.u64(acl.last_activity);
-  }
-
-  w.u32(static_cast<std::uint32_t>(detected_page_blocking_count_));
-  w.u64(discovery_results_.size());
-  for (const Discovered& found : discovery_results_) {
-    w.fixed(found.address.bytes());
-    w.u32(found.class_of_device.raw());
-    w.str(found.name);
-    w.u8(static_cast<std::uint8_t>(found.rssi));
-  }
-
-  w.boolean(ploc_active_);
-  w.u64(ploc_queue_.size());
-  for (const hci::HciPacket& packet : ploc_queue_) {
-    w.u8(static_cast<std::uint8_t>(packet.type));
-    w.bytes(packet.payload);
-  }
-
-  w.boolean(snoop_enabled_);
-  snoop_.save_state(w);
-
-  w.u32(static_cast<std::uint32_t>(ignored_link_key_requests_));
-  w.u64(popups_.size());
-  for (const PopupRecord& popup : popups_) {
-    w.fixed(popup.peer.bytes());
-    w.boolean(popup.shown_to_user);
-    w.boolean(popup.numeric_value.has_value());
-    if (popup.numeric_value.has_value()) w.u32(*popup.numeric_value);
-    w.boolean(popup.accepted);
-    w.u64(popup.at);
-  }
-  w.u64(pairing_events_.size());
-  for (const auto& [peer, success] : pairing_events_) {
-    w.fixed(peer.bytes());
-    w.boolean(success);
+  // Callback-holding residue from the aborted trial: a strict capture point
+  // had none of it, so dropping it restores the captured state.
+  if constexpr (Io::kLoading) {
+    if (io.mode() != state::RestoreMode::kRewind) return;
+    self.pair_op_.reset();
+    self.connect_op_.reset();
+    self.pending_accepts_.clear();
+    self.discovery_callback_.reset();
+    self.name_request_.reset();
+    self.sdp_client_.reset_pending();
+    self.pan_.reset_pending();
+    self.pbap_.reset_pending();
+    self.map_.reset_pending();
+    self.obs_ploc_span_ = 0;
   }
 }
 
-void HostStack::load_state(state::StateReader& r, state::RestoreMode mode) {
-  r.str(config_.device_name);
-  config_.version = static_cast<BtVersion>(r.u8());
-  config_.io_capability = static_cast<hci::IoCapability>(r.u8());
-  config_.auth_requirements = r.u8();
-  config_.auto_accept_connections = r.boolean();
-  config_.acl_idle_timeout = r.u64();
-  config_.hci_dump_available = r.boolean();
-  config_.detect_page_blocking = r.boolean();
-  r.str(config_.pin_code);
-  config_.simple_pairing = r.boolean();
-  config_.fault_recovery = r.boolean();
-  config_.pair_op_watchdog = r.u64();
-
-  own_address_ = BdAddr(r.fixed<BdAddr::kSize>());
-  hooks_.ignore_link_key_request = r.boolean();
-  hooks_.ploc_delay = r.u64();
-  hooks_.ignore_connection_request = r.boolean();
-
-  security_.load_state(r);
-  l2cap_.load_state(r, mode);
-  sdp_server_.load_state(r);
-  pan_.load_state(r);
-  pbap_.load_state(r);
-  hfp_.load_state(r);
-  map_.load_state(r);
-
-  r.read_map(hfp_channels_, /*last_wins=*/false, [&r](BdAddr& peer, L2capChannel& channel) {
-    peer = BdAddr(r.fixed<BdAddr::kSize>());
-    channel.acl_handle = r.u16();
-    channel.local_cid = r.u16();
-    channel.remote_cid = r.u16();
-    channel.psm = r.u16();
-  });
-
-  map_read_.reset();
-  if (r.boolean()) {
-    MapReadState read;
-    read.channel.acl_handle = r.u16();
-    read.channel.local_cid = r.u16();
-    read.channel.remote_cid = r.u16();
-    read.channel.psm = r.u16();
-    r.read_vector(read.handles, [&r](std::uint16_t& handle) { handle = r.u16(); });
-    read.next_index = static_cast<std::size_t>(r.u64());
-    r.read_vector(read.bodies, [&r](std::string& body) { r.str(body); });
-    map_read_ = std::move(read);
-  }
-
-  const bool default_agent = r.boolean();
-  if (mode == state::RestoreMode::kRewind && default_agent) user_agent_ = &default_user_;
-
-  // ACLs: in kInPlace mode the armed idle timers keep their handles; in
-  // kRewind mode every handle is stale by construction (the scheduler was
-  // rewound), so a default EventHandle is the correct restored value.
-  std::map<hci::ConnectionHandle, Acl> restored;
-  const std::uint64_t acl_count = r.u64();
-  for (std::uint64_t i = 0; i < acl_count && r.ok(); ++i) {
-    Acl acl;
-    acl.handle = r.u16();
-    acl.peer = BdAddr(r.fixed<BdAddr::kSize>());
-    acl.initiator = r.boolean();
-    acl.authenticated = r.boolean();
-    acl.encrypted = r.boolean();
-    acl.peer_io = static_cast<hci::IoCapability>(r.u8());
-    acl.is_pairing_initiator = r.boolean();
-    acl.degraded = r.boolean();
-    acl.last_activity = r.u64();
-    if (mode == state::RestoreMode::kInPlace) {
-      if (const auto it = acls_.find(acl.handle); it != acls_.end())
-        acl.idle_timer = it->second.idle_timer;
-    }
-    restored.emplace(acl.handle, std::move(acl));
-  }
-  if (r.ok()) acls_ = std::move(restored);
-
-  detected_page_blocking_count_ = static_cast<int>(r.u32());
-  r.read_vector(discovery_results_, [&r](Discovered& found) {
-    found.address = BdAddr(r.fixed<BdAddr::kSize>());
-    found.class_of_device = ClassOfDevice(r.u32());
-    r.str(found.name);
-    found.rssi = static_cast<std::int8_t>(r.u8());
-  });
-
-  ploc_active_ = r.boolean();
-  r.read_vector(ploc_queue_, [&r](hci::HciPacket& packet) {
-    packet.type = static_cast<hci::PacketType>(r.u8());
-    r.bytes(packet.payload);
-  });
-
-  snoop_enabled_ = r.boolean();
-  snoop_.load_state(r, mode);
-
-  ignored_link_key_requests_ = static_cast<int>(r.u32());
-  r.read_vector(popups_, [&r](PopupRecord& popup) {
-    popup.peer = BdAddr(r.fixed<BdAddr::kSize>());
-    popup.shown_to_user = r.boolean();
-    popup.numeric_value.reset();
-    if (r.boolean()) popup.numeric_value = r.u32();
-    popup.accepted = r.boolean();
-    popup.at = r.u64();
-  });
-  r.read_vector(pairing_events_, [&r](std::pair<BdAddr, bool>& event) {
-    event.first = BdAddr(r.fixed<BdAddr::kSize>());
-    event.second = r.boolean();
-  });
-
-  if (mode == state::RestoreMode::kRewind) {
-    // Callback-holding residue from the aborted trial: a strict capture
-    // point had none of it, so dropping it restores the captured state.
-    pair_op_.reset();
-    connect_op_.reset();
-    pending_accepts_.clear();
-    discovery_callback_.reset();
-    name_request_.reset();
-    sdp_client_.reset_pending();
-    pan_.reset_pending();
-    pbap_.reset_pending();
-    map_.reset_pending();
-    obs_ploc_span_ = 0;
-  }
-}
+template void HostStack::persist(state::StateWriter&, const HostStack&);
+template void HostStack::persist(state::StateReader&, HostStack&);
 
 }  // namespace blap::host

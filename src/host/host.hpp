@@ -260,13 +260,13 @@ class HostStack {
 
   /// Snapshot support (see src/snapshot/). quiescent() is the strict-capture
   /// precondition: no in-flight GAP/profile operation holds a completion
-  /// callback and no PLOC stall is replaying queued packets. save_state
+  /// callback and no PLOC stall is replaying queued packets. persist
   /// covers every serializable member; kRewind restores additionally clear
   /// the non-serializable residue (operation callbacks, a non-default user
   /// agent) so a forked trial starts from exactly the captured state.
   [[nodiscard]] bool quiescent() const;
-  void save_state(state::StateWriter& w) const;
-  void load_state(state::StateReader& r, state::RestoreMode mode);
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self);
 
  private:
   enum class OpStage : std::uint8_t { kConnecting, kAuthenticating, kEncrypting, kChannel };

@@ -174,32 +174,22 @@ std::size_t L2cap::channel_count(hci::ConnectionHandle handle) const {
   return count;
 }
 
-void L2cap::save_state(state::StateWriter& w) const {
-  w.u64(channels_.size());
-  for (const auto& [key, channel] : channels_) {
-    w.u16(channel.acl_handle);
-    w.u16(channel.local_cid);
-    w.u16(channel.remote_cid);
-    w.u16(channel.psm);
+template <state::StateIo Io, state::ConstOnSave<Io> Self>
+void L2cap::persist(Io& io, Self& self) {
+  io.map(self.channels_, state::Duplicates::kFirstWins, [&io](auto& key, auto& channel) {
+    io.field(channel);
+    if constexpr (Io::kLoading) key = {channel.acl_handle, channel.local_cid};
+  });
+  io.field(self.next_cid_);
+  io.field(self.next_id_);
+  if constexpr (Io::kLoading) {
+    if (io.mode() != state::RestoreMode::kRewind) return;
+    self.pending_.clear();
+    self.pending_echo_.clear();
   }
-  w.u16(next_cid_);
-  w.u8(next_id_);
 }
 
-void L2cap::load_state(state::StateReader& r, state::RestoreMode mode) {
-  r.read_map(channels_, /*last_wins=*/false, [&r](auto& key, L2capChannel& channel) {
-    channel.acl_handle = r.u16();
-    channel.local_cid = r.u16();
-    channel.remote_cid = r.u16();
-    channel.psm = r.u16();
-    key = {channel.acl_handle, channel.local_cid};
-  });
-  next_cid_ = r.u16();
-  next_id_ = r.u8();
-  if (mode == state::RestoreMode::kRewind) {
-    pending_.clear();
-    pending_echo_.clear();
-  }
-}
+template void L2cap::persist(state::StateWriter&, const L2cap&);
+template void L2cap::persist(state::StateReader&, L2cap&);
 
 }  // namespace blap::host

@@ -29,6 +29,15 @@ struct L2capChannel {
   std::uint16_t local_cid = 0;
   std::uint16_t remote_cid = 0;
   std::uint16_t psm = 0;
+
+  /// Shared by L2cap's channel map, the host's HFP channels and a MAP read.
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self) {
+    io.field(self.acl_handle);
+    io.field(self.local_cid);
+    io.field(self.remote_cid);
+    io.field(self.psm);
+  }
 };
 
 class L2cap {
@@ -100,8 +109,8 @@ class L2cap {
   /// allocators. Pending connects/echoes hold callbacks and are not
   /// serialized: kRewind clears them (a strict capture point has none),
   /// kInPlace leaves them running.
-  void save_state(state::StateWriter& w) const;
-  void load_state(state::StateReader& r, state::RestoreMode mode);
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self);
 
  private:
   struct PendingConnect {

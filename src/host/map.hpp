@@ -65,20 +65,13 @@ class MapProfile {
     list_callback_ = nullptr;
     get_callback_ = nullptr;
   }
-  void save_state(state::StateWriter& w) const {
-    w.u64(messages_.size());
-    for (const auto& [handle, body] : messages_) {
-      w.u16(handle);
-      w.str(body);
-    }
-    w.u32(static_cast<std::uint32_t>(serves_));
-  }
-  void load_state(state::StateReader& r) {
-    r.read_map(messages_, /*last_wins=*/true, [&r](std::uint16_t& handle, std::string& body) {
-      handle = r.u16();
-      r.str(body);
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self) {
+    io.map(self.messages_, state::Duplicates::kLastWins, [&io](auto& handle, auto& body) {
+      io.field(handle);
+      io.field(body);
     });
-    serves_ = static_cast<int>(r.u32());
+    io.field(self.serves_);
   }
 
  private:

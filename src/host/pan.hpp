@@ -44,11 +44,9 @@ class PanProfile {
   /// residue cleanup.
   [[nodiscard]] bool quiescent() const { return !client_callback_; }
   void reset_pending() { client_callback_ = nullptr; }
-  void save_state(state::StateWriter& w) const {
-    w.u32(static_cast<std::uint32_t>(server_sessions_));
-  }
-  void load_state(state::StateReader& r) {
-    server_sessions_ = static_cast<int>(r.u32());
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self) {
+    io.field(self.server_sessions_);
   }
 
  private:

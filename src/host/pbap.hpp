@@ -53,14 +53,10 @@ class PbapProfile {
   /// Snapshot support (callback handling as in PanProfile).
   [[nodiscard]] bool quiescent() const { return !client_callback_; }
   void reset_pending() { client_callback_ = nullptr; }
-  void save_state(state::StateWriter& w) const {
-    w.u64(phonebook_.size());
-    for (const std::string& entry : phonebook_) w.str(entry);
-    w.u32(static_cast<std::uint32_t>(serves_));
-  }
-  void load_state(state::StateReader& r) {
-    r.read_vector(phonebook_, [&r](std::string& entry) { r.str(entry); });
-    serves_ = static_cast<int>(r.u32());
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self) {
+    io.seq(self.phonebook_);
+    io.field(self.serves_);
   }
 
  private:

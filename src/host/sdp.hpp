@@ -34,12 +34,9 @@ class SdpServer {
   [[nodiscard]] const std::vector<std::uint16_t>& services() const { return services_; }
 
   /// Snapshot support: the registered service records.
-  void save_state(state::StateWriter& w) const {
-    w.u64(services_.size());
-    for (const std::uint16_t uuid16 : services_) w.u16(uuid16);
-  }
-  void load_state(state::StateReader& r) {
-    r.read_vector(services_, [&r](std::uint16_t& uuid16) { uuid16 = r.u16(); });
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self) {
+    io.seq(self.services_);
   }
 
  private:

@@ -160,41 +160,26 @@ SecurityManager SecurityManager::from_bt_config(const std::string& text) {
   return manager;
 }
 
-void SecurityManager::save_state(state::StateWriter& w) const {
-  w.u64(bonds_.size());
-  for (const auto& [address, bond] : bonds_) {
-    w.fixed(address.bytes());
-    w.str(bond.name);
+template <state::StateIo Io, state::ConstOnSave<Io> Self>
+void SecurityManager::persist(Io& io, Self& self) {
+  io.map(self.bonds_, state::Duplicates::kFirstWins, [&io](auto& address, auto& bond) {
+    io.field(address);
+    if constexpr (Io::kLoading) bond.address = address;
+    io.field(bond.name);
     // blap-taint: declassified — snapshot key section (bond store)
-    w.fixed(bond.link_key);
-    w.u8(static_cast<std::uint8_t>(bond.key_type));
-    w.u64(bond.services.size());
-    for (const Uuid& service : bond.services) w.fixed(service.bytes());
-  }
-  w.u64(failed_attempts_.size());
-  for (const auto& [address, attempts] : failed_attempts_) {
-    w.fixed(address.bytes());
-    w.u32(attempts);
-  }
-  w.u32(retry_policy_.max_attempts);
-  w.u64(retry_policy_.initial_backoff);
+    io.field(bond.link_key);
+    io.field(bond.key_type);
+    io.seq(bond.services);
+  });
+  io.map(self.failed_attempts_, state::Duplicates::kLastWins, [&io](auto& address, auto& attempts) {
+    io.field(address);
+    io.field(attempts);
+  });
+  io.field(self.retry_policy_.max_attempts);
+  io.field(self.retry_policy_.initial_backoff);
 }
 
-void SecurityManager::load_state(state::StateReader& r) {
-  r.read_map(bonds_, /*last_wins=*/false, [&r](BdAddr& address, BondRecord& bond) {
-    address = BdAddr(r.fixed<BdAddr::kSize>());
-    bond.address = address;
-    r.str(bond.name);
-    bond.link_key = r.fixed<std::tuple_size_v<crypto::LinkKey>>();
-    bond.key_type = static_cast<crypto::LinkKeyType>(r.u8());
-    r.read_vector(bond.services, [&r](Uuid& service) { service = Uuid(r.fixed<Uuid::kSize>()); });
-  });
-  r.read_map(failed_attempts_, /*last_wins=*/true, [&r](BdAddr& address, unsigned& attempts) {
-    address = BdAddr(r.fixed<BdAddr::kSize>());
-    attempts = r.u32();
-  });
-  retry_policy_.max_attempts = r.u32();
-  retry_policy_.initial_backoff = r.u64();
-}
+template void SecurityManager::persist(state::StateWriter&, const SecurityManager&);
+template void SecurityManager::persist(state::StateReader&, SecurityManager&);
 
 }  // namespace blap::host

@@ -98,8 +98,8 @@ class SecurityManager {
   /// Snapshot support: binary round-trip of bonds, per-peer failure
   /// counters and the retry policy (bt_config text would lose the
   /// counters and policy).
-  void save_state(state::StateWriter& w) const;
-  void load_state(state::StateReader& r);
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void persist(Io& io, Self& self);
 
  private:
   std::map<BdAddr, BondRecord> bonds_;

@@ -436,8 +436,17 @@ void RadioMedium::set_fault_plan(faults::FaultPlan plan) {
                        : nullptr;
 }
 
-bool RadioMedium::save_state(state::StateWriter& w,
-                             std::span<RadioEndpoint* const> roster) const {
+template <state::StateIo Io, state::ConstOnSave<Io> Self>
+void RadioMedium::head_fields(Io& io, Self& self) {
+  io.field(self.frame_latency_);
+  io.field(self.next_link_id_);
+  io.field(self.rng_);
+  io.field(self.fault_plan_);
+  io.attached(self.sniffers_);
+}
+
+bool RadioMedium::persist(state::StateWriter& w,
+                          std::span<RadioEndpoint* const> roster) const {
   std::map<const RadioEndpoint*, std::uint64_t> roster_index;
   for (std::size_t i = 0; i < roster.size(); ++i)
     roster_index.emplace(roster[i], static_cast<std::uint64_t>(i));
@@ -446,11 +455,7 @@ bool RadioMedium::save_state(state::StateWriter& w,
     return it == roster_index.end() ? -1 : static_cast<std::int64_t>(it->second);
   };
 
-  w.u64(frame_latency_);
-  w.u64(next_link_id_);
-  for (const std::uint64_t word : rng_.state()) w.u64(word);
-  fault_plan_.save_state(w);
-  w.u64(sniffers_.size());
+  head_fields(w, *this);
 
   // Attachment set, in attach order (the paging race draws candidate
   // latencies in attach order, so the order is behaviourally significant).
@@ -474,25 +479,13 @@ bool RadioMedium::save_state(state::StateWriter& w,
     w.u64(id);
     w.u64(static_cast<std::uint64_t>(a));
     w.u64(static_cast<std::uint64_t>(b));
-    w.boolean(link.channel != nullptr);
-    if (link.channel != nullptr) link.channel->save_state(w);
+    w.opt(link.channel);
   }
   return true;
 }
 
-void RadioMedium::load_state(state::StateReader& r,
-                             std::span<RadioEndpoint* const> roster,
-                             state::RestoreMode mode) {
-  frame_latency_ = r.u64();
-  next_link_id_ = r.u64();
-  std::array<std::uint64_t, 4> words{};
-  for (std::uint64_t& word : words) word = r.u64();
-  rng_.set_state(words);
-  fault_plan_ = faults::FaultPlan::load_state(r);
-
-  const std::uint64_t sniffer_count = r.u64();
-  if (mode == state::RestoreMode::kRewind && sniffers_.size() > sniffer_count)
-    sniffers_.resize(static_cast<std::size_t>(sniffer_count));
+void RadioMedium::persist(state::StateReader& r, std::span<RadioEndpoint* const> roster) {
+  head_fields(r, *this);
 
   const auto endpoint_at = [&](std::uint64_t index) -> RadioEndpoint* {
     if (index >= roster.size()) {
@@ -511,7 +504,7 @@ void RadioMedium::load_state(state::StateReader& r,
     if (endpoint != nullptr) in_order.push_back(endpoint);
   }
   // The registry indexes each endpoint's *current* virtuals here; device
-  // sections restore after the medium's, and Controller::load_state ends
+  // sections restore after the medium's, and the controller's load ends
   // with notify_endpoint_changed(), which re-syncs address and scan bits.
   registry_.load(in_order);
   std::size_t max_slot = 0;
@@ -532,7 +525,7 @@ void RadioMedium::load_state(state::StateReader& r,
     link.b_handle = registry_.handle_of(link.b);
     if (r.boolean()) {
       link.channel = std::make_unique<faults::ChannelModel>(fault_plan_, id);
-      link.channel->load_state(r);
+      r.field(*link.channel);
     }
     if (r.ok() && link.a_handle.valid() && link.b_handle.valid()) {
       Link& stored = links_[id] = std::move(link);

@@ -194,16 +194,14 @@ class RadioMedium {
   /// Snapshot support. Endpoints are identified by their index into
   /// `roster` — the simulation's canonical endpoint list in device order —
   /// because BD_ADDRs are spoofable mid-scenario and pointers are not
-  /// serializable. save_state fails the writer-side contract loudly (via
+  /// serializable. The save fails the writer-side contract loudly (via
   /// the returned false) if a link references an endpoint outside the
-  /// roster. load_state rebuilds links_ (with channel models re-derived
+  /// roster. The load rebuilds links_ (with channel models re-derived
   /// from the restored fault plan) and, in kRewind mode, truncates the
   /// sniffer list back to the captured count — dropping exactly the
   /// sniffers a trial added after the capture point.
-  bool save_state(state::StateWriter& w,
-                  std::span<RadioEndpoint* const> roster) const;
-  void load_state(state::StateReader& r, std::span<RadioEndpoint* const> roster,
-                  state::RestoreMode mode);
+  bool persist(state::StateWriter& w, std::span<RadioEndpoint* const> roster) const;
+  void persist(state::StateReader& r, std::span<RadioEndpoint* const> roster);
 
   /// Replace the medium's own jitter stream (the per-trial reseed path).
   void set_rng(Rng rng) { rng_ = rng; }
@@ -242,6 +240,11 @@ class RadioMedium {
   [[nodiscard]] bool audit_registry(std::string* why) const;
 
  private:
+  /// The head of the medium's section; the roster-indexed attachment and
+  /// link lists after it are written by hand.
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void head_fields(Io& io, Self& self);
+
   struct Link {
     RadioEndpoint* a = nullptr;  // initiator
     RadioEndpoint* b = nullptr;  // responder

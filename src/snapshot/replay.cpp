@@ -58,7 +58,7 @@ void set_error(BundleError& error, const LineCursor& cursor, std::string message
 
 std::string encode_fault_plan(const faults::FaultPlan& plan) {
   state::StateWriter w;
-  plan.save_state(w);
+  w.field(plan);
   return base64_encode(w.data());
 }
 
@@ -66,7 +66,8 @@ std::optional<faults::FaultPlan> decode_fault_plan(const std::string& text) {
   const auto raw = base64_decode(text);
   if (!raw) return std::nullopt;
   state::StateReader r(*raw);
-  faults::FaultPlan plan = faults::FaultPlan::load_state(r);
+  faults::FaultPlan plan;
+  r.field(plan);
   if (!r.ok() || r.remaining() != 0) return std::nullopt;
   return plan;
 }

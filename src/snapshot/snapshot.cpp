@@ -45,29 +45,29 @@ Snapshot Snapshot::serialize(core::Simulation& sim, bool strict, bool* ok) {
   *ok = true;
   // Byte-wise on purpose: GCC 12's -Wstringop-overflow misfires on a range
   // insert of a static constexpr array into a fresh vector.
-  for (const std::uint8_t b : kMagic) w.u8(b);
-  w.u32(kVersion);
-  w.boolean(strict);
+  for (const std::uint8_t b : kMagic) w.field(b);
+  w.field(kVersion);
+  w.field(strict);
 
   const auto sim_token = w.begin_section(kSimTag);
-  w.u64(sim.scheduler().now());
-  w.u64(sim.scheduler().next_seq());
-  for (const std::uint64_t limb : sim.rng().state()) w.u64(limb);
+  w.field(sim.scheduler().now());
+  w.field(sim.scheduler().next_seq());
+  w.field(sim.rng());
   w.u64(sim.devices().size());
   for (const auto& device : sim.devices()) {
-    w.str(device->spec().name);
-    w.u8(static_cast<std::uint8_t>(device->spec().transport));
+    w.field(device->spec().name);
+    w.field(device->spec().transport);
   }
   w.end_section(sim_token);
 
   const auto roster = sim.endpoint_roster();
   const auto medium_token = w.begin_section(kMediumTag);
-  if (!sim.medium().save_state(w, roster)) *ok = false;
+  if (!sim.medium().persist(w, roster)) *ok = false;
   w.end_section(medium_token);
 
   for (const auto& device : sim.devices()) {
     const auto device_token = w.begin_section(kDeviceTag);
-    device->save_state(w);
+    w.field(*device);
     w.end_section(device_token);
   }
 
@@ -105,7 +105,7 @@ Snapshot Snapshot::capture_relaxed(core::Simulation& sim) {
 }
 
 bool Snapshot::apply(core::Simulation& sim, state::RestoreMode mode, std::string* why) const {
-  state::StateReader r(data_);
+  state::StateReader r(data_, mode);
   bool strict = false;
   if (!read_header(r, strict)) {
     set_why(why, r.error());
@@ -130,7 +130,7 @@ bool Snapshot::apply(core::Simulation& sim, state::RestoreMode mode, std::string
   }
   std::string name;
   for (std::uint64_t i = 0; r.ok() && i < device_count; ++i) {
-    r.str(name);
+    r.field(name);
     const auto kind = static_cast<core::TransportKind>(r.u8());
     if (!r.ok()) break;
     const auto& spec = sim.devices()[i]->spec();
@@ -157,14 +157,14 @@ bool Snapshot::apply(core::Simulation& sim, state::RestoreMode mode, std::string
 
   const auto roster = sim.endpoint_roster();
   r.expect_section(kMediumTag);
-  sim.medium().load_state(r, roster, mode);
+  sim.medium().persist(r, roster);
   // The byte stream dies mid-commit (a truncation the structural walk did
   // not model): every later read fails soft and apply() must report — the
   // caller abandons the half-restored simulation.
   if (BLAP_FAILPOINT("snapshot.load.truncated")) r.fail("snapshot truncated mid-restore");
   for (const auto& device : sim.devices()) {
     r.expect_section(kDeviceTag);
-    device->load_state(r, mode);
+    r.field(*device);
   }
   if (mode == state::RestoreMode::kRewind && sim.observer() != nullptr)
     sim.observer()->reset();

@@ -30,30 +30,21 @@ hci::HciPacket HciTransport::wire_view(hci::Direction direction, const hci::HciP
   return protected_packet;
 }
 
-void HciTransport::save_state(state::StateWriter& w) const {
-  w.boolean(protection_key_.has_value());
-  if (protection_key_.has_value()) w.fixed(*protection_key_);
-  w.u64(protection_counter_[0]);
-  w.u64(protection_counter_[1]);
-  w.u64(taps_.size());
-}
-
-void HciTransport::load_state(state::StateReader& r, state::RestoreMode mode) {
-  if (r.boolean()) {
-    protection_key_ = r.fixed<crypto::Aes128::kKeySize>();
-  } else {
-    protection_key_.reset();
-  }
-  protection_counter_[0] = r.u64();
-  protection_counter_[1] = r.u64();
-  const std::uint64_t tap_count = r.u64();
-  if (mode == state::RestoreMode::kRewind && taps_.size() > tap_count)
-    taps_.resize(static_cast<std::size_t>(tap_count));
+template <state::StateIo Io, state::ConstOnSave<Io> Self>
+void HciTransport::fields(Io& io, Self& self) {
+  io.opt(self.protection_key_);
+  io.field(self.protection_counter_);
+  io.attached(self.taps_);
   // After a clock rewind the FIFO watermark may sit in the (new) future and
   // would spuriously delay the first post-restore frames; the line is idle
   // at a freshly restored instant, so clear it.
-  if (mode == state::RestoreMode::kRewind) line_clear_at_[0] = line_clear_at_[1] = 0;
+  if constexpr (Io::kLoading)
+    if (io.mode() == state::RestoreMode::kRewind)
+      self.line_clear_at_[0] = self.line_clear_at_[1] = 0;
 }
+
+void HciTransport::persist(state::StateWriter& w) const { fields(w, *this); }
+void HciTransport::persist(state::StateReader& r) { fields(r, *this); }
 
 void HciTransport::send(hci::Direction direction, const hci::HciPacket& packet) {
   const hci::HciPacket observed = wire_view(direction, packet);

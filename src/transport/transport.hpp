@@ -65,8 +65,8 @@ class HciTransport {
   /// exactly the observers a trial attached after the capture point.
   /// Subclasses with extra observable state (UsbTransport's frame-observer
   /// list) extend both methods.
-  virtual void save_state(state::StateWriter& w) const;
-  virtual void load_state(state::StateReader& r, state::RestoreMode mode);
+  virtual void persist(state::StateWriter& w) const;
+  virtual void persist(state::StateReader& r);
 
  protected:
   /// Transit delay for a packet of the given wire size.
@@ -85,6 +85,9 @@ class HciTransport {
   [[nodiscard]] hci::HciPacket wire_view(hci::Direction direction,
                                          const hci::HciPacket& packet);
 
+  template <state::StateIo Io, state::ConstOnSave<Io> Self>
+  static void fields(Io& io, Self& self);
+
   Scheduler& scheduler_;
   Receiver to_host_;
   Receiver to_controller_;
@@ -95,7 +98,7 @@ class HciTransport {
   /// previous delivery in the same direction (a serial line cannot reorder).
   /// Deliberately not serialized — it is derivable pessimism, not protocol
   /// state — so snapshot byte layout and the pinned replay corpus are
-  /// unaffected; load_state() clears it on rewind instead.
+  /// unaffected; a kRewind load clears it instead.
   SimTime line_clear_at_[2] = {0, 0};
 };
 

@@ -23,16 +23,14 @@ void UsbTransport::on_wire(hci::Direction direction, const hci::HciPacket& packe
   for (const auto& observer : frame_observers_) observer(frame);
 }
 
-void UsbTransport::save_state(state::StateWriter& w) const {
-  HciTransport::save_state(w);
-  w.u64(frame_observers_.size());
+void UsbTransport::persist(state::StateWriter& w) const {
+  HciTransport::persist(w);
+  w.attached(frame_observers_);
 }
 
-void UsbTransport::load_state(state::StateReader& r, state::RestoreMode mode) {
-  HciTransport::load_state(r, mode);
-  const std::uint64_t observer_count = r.u64();
-  if (mode == state::RestoreMode::kRewind && frame_observers_.size() > observer_count)
-    frame_observers_.resize(static_cast<std::size_t>(observer_count));
+void UsbTransport::persist(state::StateReader& r) {
+  HciTransport::persist(r);
+  r.attached(frame_observers_);
 }
 
 }  // namespace blap::transport

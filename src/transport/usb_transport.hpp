@@ -48,8 +48,8 @@ class UsbTransport final : public HciTransport {
 
   /// Snapshot support: base-transport state plus the frame-observer count
   /// (a kRewind restore drops analyzers clipped on after the capture).
-  void save_state(state::StateWriter& w) const override;
-  void load_state(state::StateReader& r, state::RestoreMode mode) override;
+  void persist(state::StateWriter& w) const override;
+  void persist(state::StateReader& r) override;
 
  protected:
   [[nodiscard]] SimTime transit_delay(std::size_t wire_bytes) const override {

@@ -440,17 +440,17 @@ TEST_F(RadioScaleTest, SaveLoadRoundTripsThroughTheIndex) {
 
   const std::vector<RadioEndpoint*> roster{&pager, &real, &spoof};
   state::StateWriter w;
-  ASSERT_TRUE(medium.save_state(w, roster));
+  ASSERT_TRUE(medium.persist(w, roster));
   const std::vector<std::uint8_t> bytes = w.take();
 
   Scheduler sched2;
   RadioMedium medium2(sched2, Rng(999));  // overwritten by the restore
-  state::StateReader r(BytesView(bytes.data(), bytes.size()));
-  medium2.load_state(r, roster, state::RestoreMode::kRewind);
+  state::StateReader r(BytesView(bytes.data(), bytes.size()), state::RestoreMode::kRewind);
+  medium2.persist(r, roster);
   ASSERT_TRUE(r.ok()) << r.error();
 
   state::StateWriter w2;
-  ASSERT_TRUE(medium2.save_state(w2, roster));
+  ASSERT_TRUE(medium2.persist(w2, roster));
   EXPECT_EQ(w2.data(), bytes);
 
   EXPECT_EQ(medium2.link_between(pager.addr_, shared), link);

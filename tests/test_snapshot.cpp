@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
+#include <functional>
 #include <map>
+#include <memory>
 
 #include "common/state_io.hpp"
 #include "core/page_blocking.hpp"
@@ -42,8 +45,8 @@ ScenarioParams extraction_params() {
 
 TEST(StateIo, SkipAdvancesAndBoundsChecks) {
   state::StateWriter w;
-  w.u32(0xAAAAAAAA);
-  w.u32(0xBBBBBBBB);
+  w.field(std::uint32_t{0xAAAAAAAA});
+  w.field(std::uint32_t{0xBBBBBBBB});
   w.u64(0x1122334455667788ULL);
   const Bytes data = w.take();
 
@@ -58,53 +61,210 @@ TEST(StateIo, SkipAdvancesAndBoundsChecks) {
   EXPECT_FALSE(r2.ok());
 }
 
-TEST(StateIo, RefillFormsOverwriteInPlaceAndKeepDuplicateRules) {
+/// One of every field kind, listed once for both sides like a component's.
+struct EveryKind {
+  std::uint8_t u8 = 0;
+  std::uint16_t u16 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  int count = 0;
+  std::size_t index = 0;
+  std::int8_t rssi = 0;
+  hci::PacketType type = hci::PacketType::kCommand;
+  bool flag = false;
+  double ratio = 0.0;
+  std::string text;
+  Bytes raw;
+  std::array<std::uint8_t, 3> octets{};
+  std::uint64_t words[2] = {0, 0};
+  BdAddr address;
+  Uuid uuid;
+  ClassOfDevice cod;
+  Rng rng{0};
+  std::optional<std::uint32_t> value;
+  std::unique_ptr<std::string> context;
+  std::vector<std::string> lines;
+  std::deque<Bytes> frames;
+  std::map<std::uint16_t, std::string> messages;
+  std::vector<std::function<void()>> taps;
+
+  void persist(state::StateWriter& w) const { fields(w, *this); }
+  void persist(state::StateReader& r) { fields(r, *this); }
+  template <state::StateIo Io, class Self>
+  static void fields(Io& io, Self& self) {
+    io.field(self.u8);
+    io.field(self.u16);
+    io.field(self.u32);
+    io.field(self.u64);
+    io.field(self.count);
+    io.field(self.index);
+    io.field(self.rssi);
+    io.field(self.type);
+    io.field(self.flag);
+    io.field(self.ratio);
+    io.field(self.text);
+    io.field(self.raw);
+    io.field(self.octets);
+    io.field(self.words);
+    io.field(self.address);
+    io.field(self.uuid);
+    io.field(self.cod);
+    io.field(self.rng);
+    io.opt(self.value);
+    io.opt(self.context);
+    io.seq(self.lines);
+    io.seq(self.frames);
+    io.map(self.messages, state::Duplicates::kFirstWins, [&io](auto& handle, auto& body) {
+      io.field(handle);
+      io.field(body);
+    });
+    io.attached(self.taps);
+  }
+};
+
+Bytes bytes_of(const EveryKind& v) {
   state::StateWriter w;
-  w.str("ab");
-  w.bytes(Bytes{1, 2});
-  w.u64(2);
-  w.str("x");
-  w.str("yz");
-  for (int copy = 0; copy < 2; ++copy) {  // one map with a duplicate key, twice
+  w.field(v);
+  return w.take();
+}
+
+EveryKind present() {
+  EveryKind v;
+  v.u8 = 0xA5;
+  v.u16 = 0xBEEF;
+  v.u32 = 0xDEADBEEF;
+  v.u64 = 0x0123456789ABCDEFULL;
+  v.count = -2;
+  v.index = 7;
+  v.rssi = -60;
+  v.type = hci::PacketType::kAclData;
+  v.flag = true;
+  v.ratio = 0.375;
+  v.text = "ab";
+  v.raw = {1, 2};
+  v.octets = {3, 4, 5};
+  v.words[0] = 6;
+  v.words[1] = ~0ULL;
+  v.address = *BdAddr::parse("48:90:12:34:56:78");
+  v.uuid = Uuid::from_uuid16(0x1115);
+  v.cod = ClassOfDevice(ClassOfDevice::kHandsFree);
+  v.rng = Rng(99);
+  v.value = 123456;
+  v.context = std::make_unique<std::string>("ctx");
+  v.lines = {"x", "yz"};
+  v.frames = {Bytes{7}, Bytes{8, 9}};
+  v.messages = {{7, "seven"}, {9, "nine"}};
+  v.taps.resize(1);
+  return v;
+}
+
+/// Larger than `present()` everywhere a refill can reuse storage.
+EveryKind larger() {
+  EveryKind v = present();
+  v.text = "longer than what the reader will put here";
+  v.raw = {9, 9, 9, 9};
+  v.lines = {"old 0", "old 1", "old 2"};
+  v.frames = {Bytes(40, 1), Bytes(40, 2), Bytes(40, 3)};
+  v.messages = {{1, "one"}, {7, "old seven"}, {8, "8"}, {10, "10"}};
+  v.taps.resize(3);
+  return v;
+}
+
+TEST(StateIo, RefillFormsOverwriteInPlaceAndKeepDuplicateRules) {
+  // Every kind round-trips through writer and reader, refilling larger old
+  // contents, and an absent optional or owning pointer resets its target.
+  for (const bool with_values : {true, false}) {
+    EveryKind saved = present();
+    if (!with_values) {
+      saved.value.reset();
+      saved.context.reset();
+    }
+    const Bytes data = bytes_of(saved);
+    EveryKind loaded = larger();
+    if (with_values) {
+      loaded.value.reset();
+      loaded.context.reset();
+    }
+    state::StateReader r(data);
+    r.field(loaded);
+    ASSERT_TRUE(r.ok()) << r.error();
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(loaded.taps.size(), 3u);  // kInPlace never truncates
+    loaded.taps.resize(1);
+    EXPECT_EQ(bytes_of(loaded), data);
+    EXPECT_EQ(loaded.lines, saved.lines);
+    EXPECT_EQ(loaded.frames, saved.frames);
+    EXPECT_EQ(loaded.messages, saved.messages);
+    EXPECT_EQ(loaded.value.has_value(), with_values);
+    EXPECT_EQ(loaded.context != nullptr, with_values);
+  }
+
+  // attached truncates the live list only under kRewind, and only down.
+  const Bytes one_tap = bytes_of(present());
+  for (const std::size_t live : {std::size_t{0}, std::size_t{3}}) {
+    EveryKind loaded = larger();
+    loaded.taps.resize(live);
+    state::StateReader r(one_tap, state::RestoreMode::kRewind);
+    r.field(loaded);
+    ASSERT_TRUE(r.ok()) << r.error();
+    EXPECT_EQ(loaded.taps.size(), std::min<std::size_t>(live, 1));
+  }
+
+  // A repeated key keeps the first value or the last, by the map's rule.
+  state::StateWriter w;
+  for (int copy = 0; copy < 2; ++copy) {
     w.u64(3);
     for (const auto& [key, value] : {std::pair<std::uint16_t, const char*>{7, "first"},
                                      {7, "second"},
                                      {9, "nine"}}) {
-      w.u16(key);
-      w.str(value);
+      w.field(key);
+      w.field(std::string(value));
     }
   }
-  const Bytes data = w.take();
-
-  std::string text = "longer than what the reader will put here";
-  Bytes raw = {9, 9, 9, 9};
-  std::vector<std::string> lines = {"old 0", "old 1", "old 2"};
-  std::map<std::uint16_t, std::string> first = {{1, "one"}, {7, "seven"}, {8, "8"}, {10, "10"}};
+  const Bytes maps = w.take();
+  std::map<std::uint16_t, std::string> first = larger().messages;
   std::map<std::uint16_t, std::string> last = first;
-  state::StateReader r(data);
-  r.str(text);
-  r.bytes(raw);
-  r.read_vector(lines, [&r](std::string& line) { r.str(line); });
-  const auto entry = [&r](std::uint16_t& key, std::string& value) {
-    key = r.u16();
-    r.str(value);
-  };
-  r.read_map(first, /*last_wins=*/false, entry);
-  r.read_map(last, /*last_wins=*/true, entry);
+  state::StateReader r(maps);
+  for (const auto& [target, rule] : {std::pair{&first, state::Duplicates::kFirstWins},
+                                     std::pair{&last, state::Duplicates::kLastWins}}) {
+    r.map(*target, rule, [&r](auto& key, auto& value) {
+      r.field(key);
+      r.field(value);
+    });
+  }
   ASSERT_TRUE(r.ok()) << r.error();
-  EXPECT_EQ(text, "ab");
-  EXPECT_EQ(raw, (Bytes{1, 2}));
-  EXPECT_EQ(lines, (std::vector<std::string>{"x", "yz"}));
   EXPECT_EQ(first, (std::map<std::uint16_t, std::string>{{7, "first"}, {9, "nine"}}));
   EXPECT_EQ(last, (std::map<std::uint16_t, std::string>{{7, "second"}, {9, "nine"}}));
 
   // A read past the end clears its target, and the sticky error says where.
-  r.str(text);
+  std::string text = "cleared on failure";
+  r.field(text);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(text.empty());
-  EXPECT_EQ(r.error(), "input truncated at offset " + std::to_string(data.size()) +
+  EXPECT_EQ(r.error(), "input truncated at offset " + std::to_string(maps.size()) +
                            " (need 8, 0 left)");
   EXPECT_EQ(r.u32(), 0u);
+
+  // Every strict prefix of a full record fails sticky at the value that
+  // runs past its end.
+  const Bytes full = bytes_of(present());
+  for (std::size_t n = 0; n < full.size(); ++n) {
+    EveryKind loaded = larger();
+    state::StateReader prefix(BytesView(full.data(), n));
+    prefix.field(loaded);
+    ASSERT_FALSE(prefix.ok()) << "prefix " << n;
+    std::size_t at = 0, need = 0, left = 0;
+    ASSERT_EQ(std::sscanf(prefix.error().c_str(),
+                          "input truncated at offset %zu (need %zu, %zu left)", &at, &need,
+                          &left),
+              3)
+        << prefix.error();
+    EXPECT_EQ(at + left, n) << prefix.error();
+    EXPECT_GT(need, left) << prefix.error();
+    const std::string error = prefix.error();
+    EXPECT_EQ(prefix.u64(), 0u);
+    EXPECT_EQ(prefix.error(), error);
+  }
 }
 
 // --- capture discipline ------------------------------------------------------
@@ -252,6 +412,32 @@ TEST(Snapshot, CraftedAttachCountIsRefusedWithoutThrowing) {
   ASSERT_TRUE(bad.has_value()) << why;
   EXPECT_FALSE(bad->restore(*s.sim, &why));
   EXPECT_FALSE(why.empty());
+}
+
+TEST(Snapshot, CraftedSspCurveByteIsRefused) {
+  // Step 14 of the extraction pairing opens the accessory's SSP initiator
+  // context; its curve byte (32, P-256) sits at offset 1292 of a relaxed
+  // capture. The initiator's next event dereferences the curve, so a
+  // restore that accepted any other byte would crash the simulation.
+  constexpr std::size_t kCurveByte = 1292;
+  for (const int crafted : {0, 33}) {
+    Scenario s = build_scenario(1234, extraction_params());
+    s.accessory->host().pair(s.target->address(), [](hci::Status) {});
+    for (int i = 0; i < 14; ++i) (void)s.sim->scheduler().step();
+    Bytes bytes = Snapshot::capture_relaxed(*s.sim).bytes();
+    ASSERT_GT(bytes.size(), kCurveByte);
+    ASSERT_EQ(bytes[kCurveByte], 32);
+    bytes[kCurveByte] = static_cast<std::uint8_t>(crafted);
+
+    std::string why;
+    const auto snap = Snapshot::from_bytes(bytes, &why);
+    ASSERT_TRUE(snap.has_value()) << why;  // structurally sound
+    const bool restored = snap->restore_in_place(*s.sim, &why);
+    if (restored) s.sim->run_for(kSecond);
+    EXPECT_FALSE(restored);
+    EXPECT_EQ(why, "invalid SSP curve byte " + std::to_string(crafted) +
+                       " in an initiator context at offset " + std::to_string(kCurveByte));
+  }
 }
 
 TEST(Snapshot, FileRoundTrip) {

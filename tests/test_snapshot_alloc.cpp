@@ -1,7 +1,7 @@
 // Pins the heap-allocation count of a steady-state fork restore. Every
 // stack-fuzz execution, bonded-cell fork and chaos trial restores the same
 // warm bonded snapshot onto the simulation it was captured from, so after
-// the first restore every component's load_state refills storage the
+// the first restore every component's field list refills storage the
 // simulation already holds. What may still allocate is the endpoint roster
 // and the medium's attachment list, both built per restore.
 //

@@ -14,6 +14,9 @@
 
 #include "lint.hpp"
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -35,12 +38,7 @@ std::string read_file(const std::string& path) {
 }
 
 /// The repository's sources, as blap-taint's tree mode walks them.
-std::vector<std::string> repo_files() {
-  std::vector<std::string> paths;
-  for (const blap::lint::TreeFile& f : blap::lint::tree_files(BLAP_SOURCE_DIR))
-    paths.push_back(f.path);
-  return paths;
-}
+std::vector<blap::lint::TreeFile> repo_files() { return blap::lint::tree_files(BLAP_SOURCE_DIR); }
 
 std::string fixture_path(const std::string& name) {
   return std::string(BLAP_TAINT_FIXTURE_DIR) + "/" + name;
@@ -70,9 +68,10 @@ std::set<std::pair<int, std::string>> actual_findings(const std::vector<Finding>
 Report analyze_fixture(const std::string& name) {
   const std::string content = read_file(fixture_path(name));
   EXPECT_FALSE(content.empty());
-  // The full path keeps tests/ in it, so record-builder context applies —
+  // Scoped on its root-relative path, so record-builder context applies —
   // same as when the CLI walks the real tree.
-  return blap::taint::analyze_sources({{fixture_path(name), content}});
+  return blap::taint::analyze_sources(
+      {{fixture_path(name), content, "tests/taint_fixtures/" + name}});
 }
 
 /// Analyze a fixture and compare against its EXPECT markers plus the
@@ -100,7 +99,7 @@ TEST(TaintFixtures, S2InterproceduralArgAndReturnFlow) {
   check_fixture("s2_interproc.cpp", 1, 0);
 }
 TEST(TaintFixtures, S2SnapshotSerializerRecordBuilderSinks) {
-  check_fixture("s2_sinks.cpp", 1, 0);
+  check_fixture("s2_sinks.cpp", 2, 0);
 }
 TEST(TaintFixtures, D6RawCaptureFlaggedHandleProvenWaiverHonored) {
   check_fixture("d6_lifetime.cpp", 0, 1);
@@ -139,8 +138,32 @@ TEST(Taint, ReportJsonCarriesFindingsAndSites) {
 TEST(Taint, SiteLinesAreStableAndPrefixStripped) {
   const Report report = analyze_fixture("s2_sinks.cpp");
   const auto lines = blap::taint::site_lines(report, BLAP_TAINT_FIXTURE_DIR);
-  ASSERT_EQ(1u, lines.size());
-  EXPECT_EQ("s2_sinks.cpp:save_key_section:snapshot", lines[0]);
+  EXPECT_EQ(lines, (std::vector<std::string>{"s2_sinks.cpp:persist_key_section:snapshot",
+                                             "s2_sinks.cpp:save_key_section:snapshot"}));
+}
+
+// Context scopes match root-relative paths: a checkout under directories
+// named analytics/ and mytests/ must not make every file a serializer or a
+// record builder.
+TEST(Taint, ContextsScopeOnRootRelativePaths) {
+  namespace fs = std::filesystem;
+  const fs::path temp =
+      fs::temp_directory_path() / ("blap_taint_walk_" + std::to_string(::getpid()));
+  const fs::path root = temp / "analytics" / "mytests" / "repo";
+  fs::create_directories(root / "src" / "crypto");
+  std::ofstream(root / "src" / "crypto" / "mix.cpp")
+      << "struct LinkKey { unsigned char b[16]; };\n"
+         "void mix(std::string& out, const LinkKey& key) { out += key.b[0]; }\n"
+         "Bytes record(const LinkKey& key) { return make_event(kLinkKeyNotification, key); }\n";
+
+  const Report report = blap::taint::analyze_files(blap::lint::tree_files(root.string()));
+  fs::remove_all(temp);
+  EXPECT_EQ(report.files_analyzed, 1);
+  EXPECT_TRUE(report.findings.empty()) << [&] {
+    std::string got = "findings:\n";
+    for (const Finding& f : report.findings) got += "  " + blap::taint::to_string(f) + "\n";
+    return got;
+  }();
 }
 
 // The real tree must be clean: every intentional key-material observation

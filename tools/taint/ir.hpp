@@ -44,8 +44,8 @@ struct Decl {
 };
 
 struct Function {
-  std::string name;       // unqualified ("save_state")
-  std::string qualified;  // "Controller::save_state" when defined out of line
+  std::string name;       // unqualified ("persist")
+  std::string qualified;  // "Controller::persist" when defined out of line
   std::string file;       // normalized path
   int line = 0;
   std::vector<std::string> return_type;  // tokens before the (qualified) name
@@ -58,6 +58,7 @@ struct Function {
 /// One parsed file: its lexed tokens plus every function found in them.
 struct SourceFile {
   std::string path;
+  std::string relative;  // root-relative: what context scopes match
   Lexed lex;
   std::vector<Function> functions;
 };

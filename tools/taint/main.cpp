@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   std::string compile_commands;
   std::string json_out;
   std::string sites_out;
-  std::vector<std::string> files;
+  // Explicit file arguments are scoped as spelled.
+  std::vector<blap::lint::TreeFile> files;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     auto value = [&](std::string& into) {
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
       usage();
       return 2;
     } else {
-      files.emplace_back(arg);
+      files.push_back({arg, arg});
     }
   }
 
@@ -87,15 +88,17 @@ int main(int argc, char** argv) {
   }
 
   if (files.empty()) {
-    for (const blap::lint::TreeFile& f : blap::lint::tree_files(root)) files.push_back(f.path);
+    files = blap::lint::tree_files(root);
     if (!compile_commands.empty()) {
       for (std::string& f : blap::taint::compile_commands_files(compile_commands)) {
         std::error_code ec;
         const auto canon = std::filesystem::weakly_canonical(f, ec);
         if (!ec) f = canon.string();
-        // TUs outside the tree walk (generated files, out-of-tree paths).
-        if (std::find(files.begin(), files.end(), f) == files.end())
-          files.push_back(std::move(f));
+        // TUs outside the tree walk (generated files, out-of-tree paths),
+        // which no context scope matches.
+        if (std::none_of(files.begin(), files.end(),
+                         [&f](const blap::lint::TreeFile& t) { return t.path == f; }))
+          files.push_back({f, f});
       }
     }
     if (files.empty()) {

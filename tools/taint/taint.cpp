@@ -50,6 +50,14 @@ const std::set<std::string>& writer_methods() {
   return s;
 }
 
+// The value-carrying field kinds of a snapshot field list. A list runs on
+// either side through a template parameter, so these are sinks whatever
+// the receiver's declared type.
+const std::set<std::string>& field_kinds() {
+  static const std::set<std::string> s = {"field", "opt", "seq", "map"};
+  return s;
+}
+
 const std::set<std::string>& device_types() {
   static const std::set<std::string> s = {"Device", "Controller", "HostStack",
                                           "RadioEndpoint", "Simulation"};
@@ -70,9 +78,9 @@ const std::set<std::string>& key_event_consts() {
   return s;
 }
 
-bool path_has(const std::string& path, std::string_view needle) {
-  return path.find(needle) != std::string::npos;
-}
+/// Context scopes match prefixes of the root-relative path, so where the
+/// tree is checked out never matters.
+bool under(const SourceFile& file, std::string_view dir) { return file.relative.starts_with(dir); }
 
 bool is_ident(const Token& tok) {
   return !tok.text.empty() && ident_start(tok.text[0]);
@@ -350,12 +358,12 @@ bool serializer_context(const FnState& env) {
   if (name.find("json") != std::string::npos || name.find("csv") != std::string::npos ||
       name.find("write") != std::string::npos)
     return true;
-  return path_has(env.file->path, "/campaign/") || path_has(env.file->path, "/analytics/");
+  return under(*env.file, "src/campaign/") || under(*env.file, "src/analytics/");
 }
 
-bool record_builder_context(const std::string& path) {
-  return path_has(path, "tests/") || path_has(path, "bench/") ||
-         path_has(path, "/analytics/") || path_has(path, "/campaign/");
+bool record_builder_context(const SourceFile& file) {
+  return under(file, "tests/") || under(file, "bench/") || under(file, "src/analytics/") ||
+         under(file, "src/campaign/");
 }
 
 void scan_sinks(const Program& prog, const FnState& env, SinkScan& scan) {
@@ -388,8 +396,7 @@ void scan_sinks(const Program& prog, const FnState& env, SinkScan& scan) {
       const bool dotted = i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->");
       // The sink boundary is the call INTO the obs layer; the wrappers in
       // src/obs/ would otherwise re-report every caller's pushed taint.
-      if (dotted && obs_methods().count(name) != 0 &&
-          !path_has(env.file->path, "src/obs/")) {
+      if (dotted && obs_methods().count(name) != 0 && !under(*env.file, "src/obs/")) {
         const std::string base = receiver_base(t, i - 1);
         std::string lower = base;
         std::transform(lower.begin(), lower.end(), lower.begin(),
@@ -407,20 +414,21 @@ void scan_sinks(const Program& prog, const FnState& env, SinkScan& scan) {
         continue;
       }
 
-      if (dotted && writer_methods().count(name) != 0) {
+      const bool field_kind = dotted && field_kinds().count(name) != 0;
+      if (field_kind || (dotted && writer_methods().count(name) != 0)) {
         const std::string base = receiver_base(t, i - 1);
         const Decl* d = base.empty() ? nullptr : decl_of(*env.fn, base);
-        const std::string atom = (d != nullptr && d->type_has("StateWriter"))
+        const std::string atom = (field_kind || (d != nullptr && d->type_has("StateWriter")))
                                      ? tainted_atom(prog, env, i + 2, close)
                                      : std::string();
         if (!atom.empty())
           emit("snapshot", i, close,
-               "secret-tainted value '" + atom + "' serialized via StateWriter::" +
-                   name + " outside the declassified key section");
+               "secret-tainted value '" + atom + "' serialized via " + name +
+                   "() outside the declassified key section");
         continue;
       }
 
-      if (name == "make_event" && record_builder_context(env.file->path)) {
+      if (name == "make_event" && record_builder_context(*env.file)) {
         bool key_bearing = false;
         for (std::size_t k = i + 2; k < close; ++k)
           if (key_event_consts().count(t[k].text) != 0) key_bearing = true;
@@ -515,6 +523,7 @@ Program build_program(const std::vector<NamedSource>& sources) {
     std::string norm = src.path;
     std::replace(norm.begin(), norm.end(), '\\', '/');
     prog.files.push_back(build_ir(std::move(norm), src.content));
+    prog.files.back().relative = src.relative;
   }
   for (const SourceFile& f : prog.files) collect_secret_fields(f, prog.secret_fields);
   for (const SourceFile& f : prog.files) {
@@ -541,6 +550,11 @@ bool push_call_args(const Program& prog, const FnState& env,
     if (!is_ident(t[i]) || i + 1 >= env.fn->body_end || t[i + 1].text != "(") continue;
     auto it = prog.by_name.find(t[i].text);
     if (it == prog.by_name.end()) continue;
+    // A field-kind call is a snapshot sink boundary (scan_sinks): pushing
+    // through its implementation would hand every caller's taint to each
+    // component's field list.
+    const bool dotted = t[i - 1].text == "." || t[i - 1].text == "->";
+    if (dotted && field_kinds().count(t[i].text) != 0) continue;
     const auto args = split_args(t, i + 1);
     for (std::size_t a = 0; a < args.size(); ++a) {
       // Lambda-valued arguments carry code: a secret referenced in the body
@@ -609,7 +623,7 @@ Report analyze_sources(const std::vector<NamedSource>& sources) {
       if (f.returns_secret)
         std::fprintf(stderr, "returns-secret: %s (%s:%d)\n", f.fn->qualified.c_str(),
                      f.file->path.c_str(), f.fn->line);
-      if (dbg[0] != '\0' && path_has(f.file->path, dbg) && !f.taint.empty()) {
+      if (dbg[0] != '\0' && f.file->path.find(dbg) != std::string::npos && !f.taint.empty()) {
         std::fprintf(stderr, "env %s:%d %s:", f.file->path.c_str(), f.fn->line,
                      f.fn->qualified.c_str());
         for (const std::string& n : f.taint) std::fprintf(stderr, " %s", n.c_str());
@@ -641,15 +655,15 @@ Report analyze_sources(const std::vector<NamedSource>& sources) {
   return report;
 }
 
-Report analyze_files(const std::vector<std::string>& paths) {
+Report analyze_files(const std::vector<lint::TreeFile>& files) {
   std::vector<NamedSource> sources;
-  sources.reserve(paths.size());
-  for (const std::string& p : paths) {
-    std::ifstream in(p, std::ios::binary);
+  sources.reserve(files.size());
+  for (const lint::TreeFile& f : files) {
+    std::ifstream in(f.path, std::ios::binary);
     if (!in) continue;
     std::ostringstream buf;
     buf << in.rdbuf();
-    sources.push_back(NamedSource{p, buf.str()});
+    sources.push_back(NamedSource{f.path, buf.str(), f.relative});
   }
   return analyze_sources(sources);
 }

@@ -21,7 +21,8 @@
 //   seeds — pushed caller taint deliberately does not leak into return
 //   derivation, so shared transformers like hex() don't poison every call
 //   site). Tainted values reaching a sink — log macros, obs trace/metric
-//   emission, StateWriter snapshot serialization, JSON/CSV/bt-config
+//   emission, snapshot serialization (StateWriter calls, and the field
+//   kinds of a snapshot field list whatever their receiver), JSON/CSV/bt-config
 //   serializers, hand-built key-bearing HCI records in test/bench/analytics
 //   helpers — are findings unless the statement carries a
 //   `// blap-taint: declassified — <why>` marker; marked statements are the
@@ -42,6 +43,7 @@
 #include <vector>
 
 #include "ir.hpp"
+#include "lint.hpp"
 
 namespace blap::taint {
 
@@ -79,17 +81,18 @@ struct Report {
 };
 
 struct NamedSource {
-  std::string path;
+  std::string path;      // what findings and sites name
   std::string content;
+  std::string relative;  // root-relative: what context scopes match
 };
 
 /// Analyze a set of in-memory sources as one program (cross-TU: the call
 /// graph and the secret-field set span all of them).
 [[nodiscard]] Report analyze_sources(const std::vector<NamedSource>& sources);
 
-/// Read `paths` from disk and analyze them as one program. Unreadable
+/// Read `files` from disk and analyze them as one program. Unreadable
 /// files are skipped.
-[[nodiscard]] Report analyze_files(const std::vector<std::string>& paths);
+[[nodiscard]] Report analyze_files(const std::vector<lint::TreeFile>& files);
 
 /// Translation units listed in a compile_commands.json ("file" entries).
 [[nodiscard]] std::vector<std::string> compile_commands_files(const std::string& json_path);
