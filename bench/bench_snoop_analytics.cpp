@@ -14,8 +14,9 @@
 //                      path blap-snoopd runs, with per-jobs speedup.
 //
 // Emits machine-readable BENCH_snoop_analytics.json (override the path with
-// BLAP_JSON). Wall-derived rates are the point of this artifact, so unlike
-// the campaign JSONs it is not byte-stable across runs.
+// BLAP_JSON), stamped with the commit, the build type and the core count.
+// Wall-derived rates are the point of this artifact, so unlike the campaign
+// JSONs it is not byte-stable across runs.
 //
 //   bench_snoop_analytics [--smoke]
 //
@@ -28,6 +29,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 #include <vector>
 
 #include "analytics/detector.hpp"
@@ -226,6 +228,9 @@ int main(int argc, char** argv) {
   {
     std::ofstream out(json_path);
     out << "{\n  \"bench\": \"snoop_analytics\",\n"
+        << "  \"commit\": \"" << BLAP_BENCH_COMMIT << "\",\n"
+        << "  \"build_type\": \"" << BLAP_BENCH_BUILD_TYPE << "\",\n"
+        << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
         << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
         << "  \"capture_records\": " << records << ",\n"
         << "  \"capture_bytes\": " << capture.size() << ",\n"

@@ -70,7 +70,8 @@ std::optional<std::string> read_json_string(std::string_view s, std::size_t& i) 
 
 /// Position just past `"key":`, or nullopt.
 std::optional<std::size_t> after_key(std::string_view s, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\"";
+  std::string needle(1, '"');
+  needle.append(key).push_back('"');
   const std::size_t at = s.find(needle);
   if (at == std::string_view::npos) return std::nullopt;
   std::size_t i = at + needle.size();
@@ -142,53 +143,28 @@ FileReport analyze_file(const std::string& path,
   FileReport report;
   report.path = path;
   report.name = base_name(path);
-  obs::MetricsRegistry metrics;
   auto file = MappedFile::open(path);
-  if (!file) {
-    metrics.add("snoop.files.unreadable");
-    report.metrics = metrics.snapshot();
-    return report;
-  }
+  if (!file) return report;
   report.opened = true;
   report.bytes = file->size();
-  metrics.add("snoop.files");
-  metrics.add("snoop.bytes", file->size());
   hci::SnoopFault header_fault;
   auto cursor = hci::SnoopCursor::open(file->view(), &header_fault);
   if (!cursor) {
     report.fault = header_fault;
-    metrics.add("snoop.files.faulted");
-    report.metrics = metrics.snapshot();
     return report;
   }
   while (auto view = cursor->next()) {
     ++report.records;
-    metrics.add("snoop.records");
-    if (view->payload_truncated()) metrics.add("snoop.records.truncated_payload");
+    if (view->payload_truncated()) ++report.truncated_payloads;
     const RecordCtx ctx = RecordCtx::from_view(*view);
-    if (!ctx.type) {
-      metrics.add("snoop.records.unknown");
-    } else {
-      switch (*ctx.type) {
-        case hci::PacketType::kCommand: metrics.add("snoop.records.cmd"); break;
-        case hci::PacketType::kEvent: metrics.add("snoop.records.evt"); break;
-        case hci::PacketType::kAclData: metrics.add("snoop.records.acl"); break;
-        case hci::PacketType::kScoData: metrics.add("snoop.records.sco"); break;
-      }
-    }
+    ++report.records_by_type[ctx.type ? static_cast<std::size_t>(*ctx.type) : 0];
     for (auto& detector : detectors) detector->on_record(ctx);
   }
   for (auto& detector : detectors) detector->finish(report.findings);
   // Stable by frame: equal frames keep the fixed detector order.
   std::stable_sort(report.findings.begin(), report.findings.end(),
                    [](const Finding& a, const Finding& b) { return a.frame < b.frame; });
-  if (!cursor->fault().ok()) {
-    report.fault = cursor->fault();
-    metrics.add("snoop.files.faulted");
-  }
-  for (const auto& finding : report.findings)
-    metrics.add("detect." + finding.detector);
-  report.metrics = metrics.snapshot();
+  report.fault = cursor->fault();
   return report;
 }
 
@@ -211,20 +187,43 @@ FleetReport analyze_files(std::vector<std::string> paths, const FleetConfig& con
   FleetReport report;
   for (const auto& name : default_detector_names())
     report.findings_per_detector[name] = 0;
+  std::uint64_t opened = 0, faulted = 0, truncated = 0;
+  std::array<std::uint64_t, 5> by_type{};
   for (const auto& file : slots) {
     if (!file.opened || is_header_fault(file.fault)) {
       ++report.files_failed;
     } else {
       ++report.files_scanned;
     }
+    opened += file.opened;
+    faulted += file.opened && !file.fault.ok();
     report.bytes_total += file.bytes;
     report.records_total += file.records;
-    report.metrics.merge_from(file.metrics);
+    truncated += file.truncated_payloads;
+    for (std::size_t t = 0; t < by_type.size(); ++t) by_type[t] += file.records_by_type[t];
     for (const auto& finding : file.findings) {
       ++report.findings_total;
       ++report.findings_per_detector[finding.detector];
     }
   }
+  // The fleet counters, each key named here only. A key is written when its
+  // count is nonzero, and snoop.bytes whenever a file opened (0-byte ones too).
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"snoop.files.unreadable", slots.size() - opened},
+      {"snoop.files", opened},
+      {"snoop.files.faulted", faulted},
+      {"snoop.records", report.records_total},
+      {"snoop.records.truncated_payload", truncated},
+      {"snoop.records.unknown", by_type[0]},
+      {"snoop.records.cmd", by_type[static_cast<std::size_t>(hci::PacketType::kCommand)]},
+      {"snoop.records.acl", by_type[static_cast<std::size_t>(hci::PacketType::kAclData)]},
+      {"snoop.records.sco", by_type[static_cast<std::size_t>(hci::PacketType::kScoData)]},
+      {"snoop.records.evt", by_type[static_cast<std::size_t>(hci::PacketType::kEvent)]}};
+  for (const auto& [key, count] : counters)
+    if (count > 0) report.metrics.counters.emplace(key, count);
+  if (opened > 0) report.metrics.counters.emplace("snoop.bytes", report.bytes_total);
+  for (const auto& [name, count] : report.findings_per_detector)
+    if (count > 0) report.metrics.counters.emplace("detect." + name, count);
   report.files = std::move(slots);
 
   if (labels != nullptr) {

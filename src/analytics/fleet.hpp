@@ -3,7 +3,7 @@
 // The defender's side of BLAP: given thousands of btsnoop captures pulled
 // off a device fleet, scan every record through the detector rule set
 // (detector.hpp) and produce one deterministic FleetReport — per-detector
-// finding counts, a per-capture finding timeline, merged obs metrics and,
+// finding counts, a per-capture finding timeline, fleet counters and,
 // when a label manifest accompanies the corpus, a precision/recall table
 // per detector.
 //
@@ -14,6 +14,7 @@
 // — byte-identical JSON for any BLAP_JOBS value.
 #pragma once
 
+#include <array>
 #include <map>
 #include <optional>
 #include <set>
@@ -49,9 +50,11 @@ struct FileReport {
   bool opened = false;
   std::size_t bytes = 0;
   std::size_t records = 0;
-  hci::SnoopFault fault;                 // first malformed shape, if any
-  std::vector<Finding> findings;         // sorted by (frame, detector)
-  obs::MetricsSnapshot metrics;          // per-file record/finding counters
+  /// Records by H4 type byte: [0] an unknown type, [t] hci::PacketType t.
+  std::array<std::size_t, 5> records_by_type{};
+  std::size_t truncated_payloads = 0;  // records the dump cut short (§VII-A)
+  hci::SnoopFault fault;               // first malformed shape, if any
+  std::vector<Finding> findings;       // sorted by (frame, detector)
 };
 
 /// Confusion-matrix cell counts for one detector against the labels.
@@ -72,7 +75,7 @@ struct FleetReport {
   /// full vocabulary even when a detector never fired.
   std::map<std::string, std::size_t> findings_per_detector;
   std::vector<FileReport> files;  // sorted by name (the scan order)
-  obs::MetricsSnapshot metrics;   // order-independent merge of per-file data
+  obs::MetricsSnapshot metrics;   // fleet counters, summed from the files
   bool scored = false;
   std::map<std::string, DetectorScore> scores;  // per detector, when labelled
 

@@ -5,7 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <fstream>
+#include <cerrno>
 #include <utility>
 
 namespace blap::analytics {
@@ -20,26 +20,27 @@ std::optional<MappedFile> MappedFile::open(const std::string& path) {
   }
   MappedFile file;
   file.size_ = static_cast<std::size_t>(st.st_size);
-  if (file.size_ == 0) {
-    ::close(fd);
-    return file;  // empty view; mmap of length 0 is EINVAL
+  if (file.size_ > kMaxReadBytes) {
+    void* base = ::mmap(nullptr, file.size_, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (base != MAP_FAILED) {
+      file.data_ = base;
+      file.mapped_ = true;
+      ::close(fd);
+      return file;
+    }
   }
-  void* base = ::mmap(nullptr, file.size_, PROT_READ, MAP_PRIVATE, fd, 0);
-  if (base != MAP_FAILED) {
-    file.data_ = base;
-    file.mapped_ = true;
-    ::close(fd);
-    return file;
+  // Small, or mmap refused it: read from the fd already open.
+  file.buffer_.resize(file.size_);
+  file.data_ = file.buffer_.data();
+  std::size_t done = 0;
+  while (done < file.size_) {
+    const ssize_t n = ::read(fd, file.buffer_.data() + done, file.size_ - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // a read error, or the file shrank after fstat
+    done += static_cast<std::size_t>(n);
   }
   ::close(fd);
-  // Fallback: buffered read (keeps the engine working where mmap isn't).
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  file.fallback_.resize(file.size_);
-  in.read(reinterpret_cast<char*>(file.fallback_.data()),
-          static_cast<std::streamsize>(file.size_));
-  if (!in) return std::nullopt;
-  file.data_ = file.fallback_.data();
+  if (done < file.size_) return std::nullopt;
   return file;
 }
 
@@ -47,8 +48,8 @@ MappedFile::MappedFile(MappedFile&& other) noexcept
     : data_(std::exchange(other.data_, nullptr)),
       size_(std::exchange(other.size_, 0)),
       mapped_(std::exchange(other.mapped_, false)),
-      fallback_(std::move(other.fallback_)) {
-  if (!mapped_ && !fallback_.empty()) data_ = fallback_.data();
+      buffer_(std::move(other.buffer_)) {
+  if (!mapped_ && !buffer_.empty()) data_ = buffer_.data();
 }
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
@@ -57,8 +58,8 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
     mapped_ = std::exchange(other.mapped_, false);
-    fallback_ = std::move(other.fallback_);
-    if (!mapped_ && !fallback_.empty()) data_ = fallback_.data();
+    buffer_ = std::move(other.buffer_);
+    if (!mapped_ && !buffer_.empty()) data_ = buffer_.data();
   }
   return *this;
 }

@@ -1,11 +1,13 @@
-// mapped_file.hpp — read-only memory mapping for the fleet snoop reader.
+// mapped_file.hpp — read-only file bytes for the fleet snoop reader.
 //
-// The analytics engine walks thousands of capture files per run; reading
-// each into a std::vector would double the memory traffic before the parser
-// even starts. MappedFile mmaps the file read-only and hands out a BytesView
-// over the mapping, so SnoopCursor iterates records straight out of the page
-// cache with zero copies. Falls back to a plain read when mmap is
-// unavailable (empty files, exotic filesystems), so callers never care.
+// The analytics engine walks thousands of capture files per run, and picks
+// how to load each by its size. A file of at most kMaxReadBytes is read()
+// into an owned buffer: for a capture of a few KB, mmap + munmap and the
+// first-touch page faults cost several times one read(). A larger file is
+// mmapped, so SnoopCursor iterates records straight out of the page cache
+// with zero copies instead of copying megabytes. The measured crossover
+// lies above the cut (DESIGN §12). A large file that mmap refuses is read
+// the same way as a small one, so callers never care.
 #pragma once
 
 #include <optional>
@@ -17,8 +19,12 @@ namespace blap::analytics {
 
 class MappedFile {
  public:
-  /// Map `path` read-only. nullopt when the file cannot be opened or
-  /// stat'd; an empty file maps successfully to an empty view.
+  /// Files up to this size are read rather than mapped.
+  static constexpr std::size_t kMaxReadBytes = 64 * 1024;
+
+  /// Load `path` read-only. nullopt when it cannot be opened, stat'd or
+  /// read in full, or is not a regular file; an empty file gives an empty
+  /// view.
   [[nodiscard]] static std::optional<MappedFile> open(const std::string& path);
 
   MappedFile(MappedFile&& other) noexcept;
@@ -35,10 +41,10 @@ class MappedFile {
  private:
   MappedFile() = default;
 
-  void* data_ = nullptr;   // mmap base, nullptr when fallback_ holds the bytes
+  void* data_ = nullptr;  // mmap base, or buffer_.data() when read
   std::size_t size_ = 0;
   bool mapped_ = false;
-  Bytes fallback_;
+  Bytes buffer_;
 };
 
 }  // namespace blap::analytics

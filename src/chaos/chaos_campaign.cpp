@@ -170,10 +170,10 @@ std::string ChaosCampaignReport::to_json() const {
       out += ", \"violations\": [";
       for (std::size_t v = 0; v < rec.violations.size(); ++v) {
         if (v != 0) out += ", ";
-        out += "\"" +
-               obs::json_escape(std::string(rec.violations[v].invariant) + ": " +
-                                rec.violations[v].detail) +
-               "\"";
+        out += '"';
+        out += obs::json_escape(std::string(rec.violations[v].invariant) + ": " +
+                                rec.violations[v].detail);
+        out += '"';
       }
       out += "]";
     }

@@ -89,7 +89,8 @@ Lexed lex(std::string_view src) {
     if (c == 'R' && peek(1) == '"') {  // raw string literal
       std::size_t d = i + 2;
       while (d < n && src[d] != '(') ++d;
-      const std::string closer = ")" + std::string(src.substr(i + 2, d - i - 2)) + "\"";
+      std::string closer(1, ')');
+      closer.append(src.substr(i + 2, d - i - 2)).push_back('"');
       std::size_t end = src.find(closer, d);
       if (end == std::string_view::npos) end = n;
       for (std::size_t k = i; k < end && k < n; ++k)
