@@ -152,6 +152,22 @@ void BM_E0_Keystream_1K(benchmark::State& state) {
 }
 BENCHMARK(BM_E0_Keystream_1K);
 
+// One encrypted ACL packet as the controller sends it: a fresh E0Cipher per
+// packet (key, master address, packet counter), then a 27-byte DH1 payload.
+void BM_E0_Packet(benchmark::State& state) {
+  EncryptionKey key{};
+  key.fill(0x10);
+  Bytes payload(27, 0x00);
+  std::uint32_t counter = 0;
+  for (auto _ : state) {
+    E0Cipher cipher(key, kAddrA, counter++);
+    cipher.crypt(payload);
+    benchmark::DoNotOptimize(payload);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 27);
+}
+BENCHMARK(BM_E0_Packet);
+
 void BM_Snoop_SerializeParse(benchmark::State& state) {
   hci::SnoopLog log;
   for (int i = 0; i < 200; ++i) {

@@ -12,9 +12,10 @@
 //     discoverable, through the batched response fan-out.
 //
 // Emits machine-readable BENCH_radio_scale.json (override the path with
-// BLAP_JSON) so the perf trajectory is tracked across PRs; wall-derived
-// rates are the *point* of this artifact, so unlike the campaign JSONs it
-// is not byte-stable across runs.
+// BLAP_JSON), stamped with the commit, the build type and the core count, so
+// the perf trajectory is tracked across PRs; wall-derived rates are the
+// *point* of this artifact, so unlike the campaign JSONs it is not
+// byte-stable across runs.
 //
 // Env: BLAP_SCALE_POPULATIONS (comma list, default 10,1000,10000,100000),
 // BLAP_SCALE_PAGES (page ops per measurement, default 2000), BLAP_JSON.
@@ -28,6 +29,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "radio/crowd.hpp"
@@ -234,7 +236,11 @@ int main() {
   const std::string path = json_path != nullptr ? json_path : "BENCH_radio_scale.json";
   {
     std::ofstream out(path);
-    out << "{\n  \"bench\": \"radio_scale\",\n  \"rows\": [\n";
+    out << "{\n  \"bench\": \"radio_scale\",\n"
+        << "  \"commit\": \"" << BLAP_BENCH_COMMIT << "\",\n"
+        << "  \"build_type\": \"" << BLAP_BENCH_BUILD_TYPE << "\",\n"
+        << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+        << "  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       out << "    {\"population\": " << r.population

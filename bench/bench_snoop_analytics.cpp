@@ -11,7 +11,8 @@
 //                      default detectors;
 //   * files/sec      — analyze_files() over a directory of capture files at
 //                      jobs ∈ {1, 2, 4, 8}, i.e. the mmap + worker-pool
-//                      path blap-snoopd runs, with per-jobs speedup.
+//                      path blap-snoopd runs: the median and quartiles of
+//                      several calls per row, and the speedup of the medians.
 //
 // Emits machine-readable BENCH_snoop_analytics.json (override the path with
 // BLAP_JSON), stamped with the commit, the build type and the core count.
@@ -25,6 +26,7 @@
 // regression floor for the "thousands of captures per run" fleet target.
 #include "bench_util.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -195,30 +197,44 @@ int main(int argc, char** argv) {
     paths.push_back(p.string());
   }
 
+  // One analyze_files call is ~30 ms at full size, i.e. one sample of the
+  // host's load; each row is the median of `samples` calls, with quartiles.
+  const std::size_t samples = smoke ? 5 : 9;
   struct ScaleRow {
     unsigned jobs = 0;
-    double files_per_sec = 0.0;
-    double speedup = 0.0;
+    double files_per_sec = 0.0;  // median
+    double q1 = 0.0;
+    double q3 = 0.0;
+    double speedup = 0.0;  // of the medians, against jobs = 1
   };
   std::vector<ScaleRow> scale;
-  std::printf("\n%zu files x %zu records:\n", file_count, file_records);
-  std::printf("%-6s | %-14s | %-8s\n", "jobs", "files/sec", "speedup");
-  std::printf("%s\n", std::string(36, '-').c_str());
+  std::printf("\n%zu files x %zu records, median of %zu calls per row:\n", file_count,
+              file_records, samples);
+  std::printf("%-6s | %-14s | %-21s | %-8s\n", "jobs", "files/sec", "quartiles", "speedup");
+  std::printf("%s\n", std::string(60, '-').c_str());
   for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
     analytics::FleetConfig config;
     config.jobs = jobs;
-    const auto start = Clock::now();
-    const auto report = analytics::analyze_files(paths, config, nullptr);
-    const double wall = seconds_since(start);
-    if (report.files_failed != 0) {
-      std::fprintf(stderr, "error: %zu bench file(s) failed to scan\n", report.files_failed);
-      return 1;
+    std::vector<double> rates;
+    for (std::size_t i = 0; i < samples; ++i) {
+      const auto start = Clock::now();
+      const auto report = analytics::analyze_files(paths, config, nullptr);
+      const double wall = seconds_since(start);
+      if (report.files_failed != 0) {
+        std::fprintf(stderr, "error: %zu bench file(s) failed to scan\n", report.files_failed);
+        return 1;
+      }
+      rates.push_back(static_cast<double>(file_count) / wall);
     }
+    std::sort(rates.begin(), rates.end());
     ScaleRow row;
     row.jobs = jobs;
-    row.files_per_sec = static_cast<double>(file_count) / wall;
+    row.files_per_sec = rates[samples / 2];
+    row.q1 = rates[samples / 4];
+    row.q3 = rates[3 * samples / 4];
     row.speedup = scale.empty() ? 1.0 : row.files_per_sec / scale.front().files_per_sec;
-    std::printf("%-6u | %14.0f | %7.2fx\n", row.jobs, row.files_per_sec, row.speedup);
+    std::printf("%-6u | %14.0f | %9.0f - %9.0f | %7.2fx\n", row.jobs, row.files_per_sec,
+                row.q1, row.q3, row.speedup);
     scale.push_back(row);
   }
   fs::remove_all(dir, ec);
@@ -236,10 +252,13 @@ int main(int argc, char** argv) {
         << "  \"capture_bytes\": " << capture.size() << ",\n"
         << "  \"cursor_gb_per_sec\": " << cursor_gb_per_s << ",\n"
         << "  \"detect_gb_per_sec\": " << detect_gb_per_s << ",\n"
+        << "  \"scaling_samples_per_row\": " << samples << ",\n"
         << "  \"scaling\": [\n";
     for (std::size_t i = 0; i < scale.size(); ++i)
       out << "    {\"jobs\": " << scale[i].jobs
           << ", \"files_per_sec\": " << static_cast<std::uint64_t>(scale[i].files_per_sec)
+          << ", \"files_per_sec_q1\": " << static_cast<std::uint64_t>(scale[i].q1)
+          << ", \"files_per_sec_q3\": " << static_cast<std::uint64_t>(scale[i].q3)
           << ", \"speedup\": " << scale[i].speedup << "}"
           << (i + 1 < scale.size() ? "," : "") << "\n";
     out << "  ]\n}\n";

@@ -11,13 +11,20 @@
 // Curve arithmetic is short-Weierstrass (y^2 = x^3 + ax + b, with a = -3 on
 // both curves) over Jacobian projective coordinates held in Montgomery form
 // (MontField), so a scalar multiplication needs a single field inversion.
-// multiply() walks the scalar in fixed 4-bit windows over a per-call table of
-// 1..15 * P: four doublings and at most one addition per window. Nothing here
-// is constant-time; see bigint.hpp. Points are validated on receipt (on-curve
-// + non-infinity), which also closes the fixed-coordinate invalid-curve attack
-// referenced in the paper's related work [10].
+// multiply() has two paths that return the same point for every scalar:
+//  * k * G, the generator (key generation): a 6-tooth Lim-Lee comb. Each
+//    curve's constructor, run on the curve's first use, stores the 63 affine
+//    subset sums of 2^(j*d) * G, j < 6, d = ceil(bitlen(n) / 6) (43 on P-256,
+//    32 on P-192), in a 4 KB member array; a multiply is d - 1 doublings and
+//    at most d mixed additions, one per column of teeth.
+//  * any other point (the DHKey): fixed 4-bit windows over a per-call table
+//    of 1..15 * P, four doublings and at most one addition per window.
+// Nothing here is constant-time; see bigint.hpp. Points are validated on
+// receipt (on-curve + non-infinity), which also closes the fixed-coordinate
+// invalid-curve attack referenced in the paper's related work [10].
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "common/rng.hpp"
@@ -60,18 +67,31 @@ class EcCurve {
 
   [[nodiscard]] EcPoint add(const EcPoint& lhs, const EcPoint& rhs) const;
   [[nodiscard]] EcPoint double_point(const EcPoint& point) const;
-  /// k * point via a fixed 4-bit window over Jacobian coordinates.
+  /// k * point: the generator's comb when point is G and k fits its teeth,
+  /// a fixed 4-bit window over Jacobian coordinates otherwise.
   [[nodiscard]] EcPoint multiply(const U256& k, const EcPoint& point) const;
 
  private:
+  static constexpr std::size_t kCombTeeth = 6;
+  static constexpr std::size_t kCombEntries = (std::size_t{1} << kCombTeeth) - 1;
+  /// An affine point in Montgomery form.
+  struct CombEntry {
+    U256 x, y;
+  };
+
   EcCurve(const char* name, std::size_t coord_size, U256 p, U256 a, U256 b, U256 gx, U256 gy,
           U256 n);
+  [[nodiscard]] EcPoint multiply_generator(const U256& k) const;
 
   const char* name_;
   std::size_t coord_size_;
   U256 p_, a_, b_, n_;
   EcPoint g_;
   MontField field_;
+  /// Comb tooth spacing d: tooth j reads bit j*d + i of k in column i < d.
+  std::size_t comb_spacing_;
+  /// comb_[m - 1] = sum of 2^(j*d) * G over the set bits j of m, 1 <= m < 64.
+  std::array<CombEntry, kCombEntries> comb_;
 };
 
 /// An ECDH key pair on a given curve.

@@ -57,14 +57,17 @@ void Sha256::update(BytesView data) {
 
 Sha256::Digest Sha256::finish() {
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(BytesView(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(BytesView(&zero, 1));
-  std::array<std::uint8_t, 8> len{};
-  for (int i = 0; i < 8; ++i) len[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
-  // Bypass total_bytes_ accounting for the length field itself.
-  std::memcpy(buffer_.data() + buffered_, len.data(), 8);
+  // 0x80, zeros up to byte 56, then the big-endian bit length; when fewer
+  // than 9 bytes of the block remain, the zeros spill into one more block.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > kBlockSize - 8) {
+    std::memset(buffer_.data() + buffered_, 0, kBlockSize - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
+  }
+  std::memset(buffer_.data() + buffered_, 0, kBlockSize - 8 - buffered_);
+  for (std::size_t i = 0; i < 8; ++i)
+    buffer_[kBlockSize - 8 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
   process_block(buffer_.data());
 
   Digest digest{};

@@ -297,9 +297,32 @@ std::vector<U256> differential_scalars(const EcCurve& curve, std::uint64_t seed)
   return ks;
 }
 
+/// Bits lo..hi-1 set, every other bit clear.
+U256 bit_run(std::size_t lo, std::size_t hi) {
+  std::array<std::uint64_t, 4> w{};
+  for (std::size_t b = lo; b < hi; ++b) w[b / 64] |= std::uint64_t{1} << (b % 64);
+  return U256(w);
+}
+
+/// differential_scalars plus the edges of the generator's 6-tooth comb
+/// (ecdh.hpp), d = ceil(bitlen(n) / 6): 2^(j*d) - 1 and 2^(j*d) at every
+/// tooth boundary j*d that fits in 256 bits, only the top tooth's bits set,
+/// and 2^256 - 1. On P-192 2^192 and 2^256 - 1 do not fit the teeth, so they
+/// take the window path.
+std::vector<U256> generator_scalars(const EcCurve& curve, std::uint64_t seed) {
+  std::vector<U256> ks = differential_scalars(curve, seed);
+  const std::size_t d = (curve.order().bit_length() + 5) / 6;
+  for (std::size_t j = 1; j <= 6 && j * d <= 256; ++j) {
+    ks.push_back(bit_run(0, j * d));
+    if (j * d < 256) ks.push_back(bit_run(j * d, j * d + 1));
+  }
+  ks.push_back(bit_run(5 * d, std::min<std::size_t>(6 * d, 256)));
+  ks.push_back(bit_run(0, 256));
+  return ks;
+}
+
 void expect_multiply_matches_reference(const EcCurve& curve, const EcPoint& point,
-                                       std::uint64_t seed) {
-  const std::vector<U256> ks = differential_scalars(curve, seed);
+                                       const std::vector<U256>& ks) {
   const std::vector<EcPoint> expected = reference_multiply(curve, ks, point);
   for (std::size_t j = 0; j < ks.size(); ++j)
     EXPECT_EQ(curve.multiply(ks[j], point), expected[j])
@@ -308,26 +331,26 @@ void expect_multiply_matches_reference(const EcCurve& curve, const EcPoint& poin
 
 TEST(EcDifferential, P256GeneratorMatchesAffineReference) {
   const auto& curve = EcCurve::p256();
-  expect_multiply_matches_reference(curve, curve.generator(), 256);
+  expect_multiply_matches_reference(curve, curve.generator(), generator_scalars(curve, 256));
 }
 
 TEST(EcDifferential, P256OtherPointMatchesAffineReference) {
   const auto& curve = EcCurve::p256();
   const EcPoint q = reference_multiply(curve, {U256(0xB1A9'2022ULL)}, curve.generator())[0];
   ASSERT_TRUE(curve.on_curve(q));
-  expect_multiply_matches_reference(curve, q, 257);
+  expect_multiply_matches_reference(curve, q, differential_scalars(curve, 257));
 }
 
 TEST(EcDifferential, P192GeneratorMatchesAffineReference) {
   const auto& curve = EcCurve::p192();
-  expect_multiply_matches_reference(curve, curve.generator(), 192);
+  expect_multiply_matches_reference(curve, curve.generator(), generator_scalars(curve, 192));
 }
 
 TEST(EcDifferential, P192OtherPointMatchesAffineReference) {
   const auto& curve = EcCurve::p192();
   const EcPoint q = reference_multiply(curve, {U256(0xB1A9'2022ULL)}, curve.generator())[0];
   ASSERT_TRUE(curve.on_curve(q));
-  expect_multiply_matches_reference(curve, q, 193);
+  expect_multiply_matches_reference(curve, q, differential_scalars(curve, 193));
 }
 
 // MontField against the Knuth-D helpers, in the plain domain.
