@@ -24,10 +24,6 @@
 
 namespace blap::host {
 
-namespace psm_ext2 {
-inline constexpr std::uint16_t kHfp = 0x1005;
-}
-
 class HfpProfile {
  public:
   struct AudioFrame {

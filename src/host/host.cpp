@@ -4,6 +4,12 @@
 
 namespace blap::host {
 
+namespace {
+// A profile op whose channel or setup the peer refused. Profile callbacks
+// see only success or failure, so the code itself is never surfaced.
+constexpr hci::Status kProfileRefused = hci::Status::kPairingNotAllowed;
+}  // namespace
+
 HostStack::HostStack(Scheduler& scheduler, transport::HciTransport& transport, HostConfig config)
     : scheduler_(scheduler), transport_(transport), config_(std::move(config)),
       l2cap_([this](hci::ConnectionHandle handle, BytesView payload) {
@@ -46,22 +52,27 @@ HostStack::HostStack(Scheduler& scheduler, transport::HciTransport& transport, H
   };
   l2cap_.register_service(psm::kSdp, std::move(sdp_service));
 
-  // PAN/BNEP: setup requests -> server, setup responses -> client.
+  // PAN/BNEP: setup requests -> server, setup responses -> the op in flight.
   L2cap::Service pan_service;
   pan_service.requires_authentication = true;
   pan_service.on_data = [this](const L2capChannel& channel, BytesView data) {
-    if (!pan_.handle_server(l2cap_, channel, data)) pan_.on_client_data(data);
+    if (pan_.handle_server(l2cap_, channel, data)) return;
+    if (auto accepted = PanProfile::parse_response(data))
+      answer_op(ProfileTarget::kPan, channel, *accepted ? hci::Status::kSuccess : kProfileRefused);
   };
   l2cap_.register_service(psm::kBnep, std::move(pan_service));
 
   // PBAP: phone book pulls, authenticated only — the paper's §III target
   // data. A default phone book marks the device's "sensitive" content.
+  // Pull requests -> server, pull responses -> the op in flight.
   L2cap::Service pbap_service;
   pbap_service.requires_authentication = true;
   pbap_service.on_data = [this](const L2capChannel& channel, BytesView data) {
-    if (!pbap_.handle_server(l2cap_, channel, data)) pbap_.on_client_data(data);
+    if (pbap_.handle_server(l2cap_, channel, data)) return;
+    if (auto entries = PbapProfile::parse_response(data))
+      answer_op(ProfileTarget::kPbap, channel, hci::Status::kSuccess, std::move(entries));
   };
-  l2cap_.register_service(psm_ext::kPbap, std::move(pbap_service));
+  l2cap_.register_service(psm::kPbap, std::move(pbap_service));
   pbap_.set_phonebook({"BEGIN:VCARD N:Alice TEL:+1-202-555-0101 END:VCARD",
                        "BEGIN:VCARD N:Bob TEL:+1-202-555-0102 END:VCARD",
                        "BEGIN:VCARD N:Charlie TEL:+1-202-555-0103 END:VCARD"});
@@ -76,15 +87,17 @@ HostStack::HostStack(Scheduler& scheduler, transport::HciTransport& transport, H
   hfp_service.on_data = [this](const L2capChannel& channel, BytesView data) {
     hfp_.handle(l2cap_, channel, data);
   };
-  l2cap_.register_service(psm_ext2::kHfp, std::move(hfp_service));
+  l2cap_.register_service(psm::kHfp, std::move(hfp_service));
 
-  // MAP: message store access, authenticated only.
+  // MAP: message store access, authenticated only. Requests -> server,
+  // list and get replies -> the read in flight.
   L2cap::Service map_service;
   map_service.requires_authentication = true;
   map_service.on_data = [this](const L2capChannel& channel, BytesView data) {
-    if (!map_.handle_server(l2cap_, channel, data)) map_.on_client_data(data);
+    if (map_.handle_server(l2cap_, channel, data)) return;
+    if (auto reply = MapProfile::parse_response(data)) on_map_reply(std::move(*reply));
   };
-  l2cap_.register_service(psm_ext3::kMap, std::move(map_service));
+  l2cap_.register_service(psm::kMap, std::move(map_service));
   map_.add_message(0x0001, "FROM:+1-202-555-0199 BODY:Meeting moved to 3pm");
   map_.add_message(0x0002, "FROM:bank BODY:Your one-time code is 482913");
 
@@ -171,22 +184,38 @@ void HostStack::on_remote_name_complete(const hci::RemoteNameRequestCompleteEvt&
 }
 
 void HostStack::pair(const BdAddr& peer, StatusCallback callback) {
+  start_op(peer, ProfileTarget::kNone, [cb = std::move(callback)](hci::Status status, OpResult) {
+    if (cb) cb(status);
+  });
+}
+
+void HostStack::start_op(const BdAddr& peer, ProfileTarget profile, OpDone done) {
   if (pair_op_) {
-    if (callback) callback(hci::Status::kPairingNotAllowed);  // one op at a time
+    done(hci::Status::kPairingNotAllowed, std::nullopt);  // one op at a time
     return;
   }
   PairOp op;
   op.peer = peer;
-  op.stage = OpStage::kConnecting;
-  op.callback = std::move(callback);
-  if (obs_ != nullptr) {
+  op.profile = profile;
+  op.done = std::move(done);
+  if (profile == ProfileTarget::kNone && obs_ != nullptr) {
     obs_->count("host.pair_ops");
     if (obs_->tracing())
       op.obs_span = obs_->begin_span(scheduler_.now(), obs_tid_, obs::Layer::kHost, "pair_op",
                                      strfmt("target %s", peer.to_string().c_str()));
   }
+  // A profile op over a link that is already authenticated goes straight
+  // to its channel (the profile's GAP security requirement is met); pair()
+  // always authenticates.
+  const Acl* acl = acl_by_peer(peer);
+  const bool secure = profile != ProfileTarget::kNone && acl != nullptr &&
+                      (acl->authenticated || acl->encrypted);
   adopt_pair_op(std::move(op));
+  if (secure) start_profile_channel(peer);
+  else secure_link(peer);
+}
 
+void HostStack::secure_link(const BdAddr& peer) {
   // THE CRITICAL GAP BEHAVIOUR (paper §V-B): if an ACL to this BD_ADDR
   // already exists, skip connection establishment and send the pairing
   // request down the existing link — without verifying who created it.
@@ -219,133 +248,27 @@ void HostStack::connect_only(const BdAddr& peer, StatusCallback callback) {
 }
 
 void HostStack::connect_pan(const BdAddr& peer, BoolCallback callback) {
-  if (pair_op_) {
-    if (callback) callback(false);
-    return;
-  }
-  PairOp op;
-  op.peer = peer;
-  op.profile = ProfileTarget::kPan;
-  op.pan_callback = std::move(callback);
-  Acl* acl = acl_by_peer(peer);
-  if (acl != nullptr && (acl->authenticated || acl->encrypted)) {
-    op.stage = OpStage::kChannel;
-    adopt_pair_op(std::move(op));
-    start_profile_channel(peer);
-    return;
-  }
-  // Authenticate first (the profile's GAP security requirement).
-  op.stage = OpStage::kConnecting;
-  adopt_pair_op(std::move(op));
-  if (acl != nullptr) {
-    continue_pair_after_connect(*acl);
-  } else {
-    hci::CreateConnectionCmd cmd;
-    cmd.bdaddr = peer;
-    send_command(hci::encode(cmd));
-  }
-}
-
-void HostStack::pull_phonebook(const BdAddr& peer, PbapProfile::PullCallback callback) {
-  if (pair_op_) {
-    if (callback) callback(std::nullopt);
-    return;
-  }
-  PairOp op;
-  op.peer = peer;
-  op.profile = ProfileTarget::kPbap;
-  op.pbap_callback = std::move(callback);
-  Acl* acl = acl_by_peer(peer);
-  if (acl != nullptr && (acl->authenticated || acl->encrypted)) {
-    op.stage = OpStage::kChannel;
-    adopt_pair_op(std::move(op));
-    start_profile_channel(peer);
-    return;
-  }
-  op.stage = OpStage::kConnecting;
-  adopt_pair_op(std::move(op));
-  if (acl != nullptr) {
-    continue_pair_after_connect(*acl);
-  } else {
-    hci::CreateConnectionCmd cmd;
-    cmd.bdaddr = peer;
-    send_command(hci::encode(cmd));
-  }
-}
-
-void HostStack::read_messages(
-    const BdAddr& peer, std::function<void(std::optional<std::vector<std::string>>)> callback) {
-  if (pair_op_) {
-    if (callback) callback(std::nullopt);
-    return;
-  }
-  PairOp op;
-  op.peer = peer;
-  op.profile = ProfileTarget::kMap;
-  op.map_callback = std::move(callback);
-  Acl* acl = acl_by_peer(peer);
-  if (acl != nullptr && (acl->authenticated || acl->encrypted)) {
-    op.stage = OpStage::kChannel;
-    adopt_pair_op(std::move(op));
-    start_profile_channel(peer);
-    return;
-  }
-  op.stage = OpStage::kConnecting;
-  adopt_pair_op(std::move(op));
-  if (acl != nullptr) {
-    continue_pair_after_connect(*acl);
-  } else {
-    hci::CreateConnectionCmd cmd;
-    cmd.bdaddr = peer;
-    send_command(hci::encode(cmd));
-  }
-}
-
-void HostStack::continue_map_read(const BdAddr& peer) {
-  if (!map_read_ || !pair_op_ || pair_op_->profile != ProfileTarget::kMap) return;
-  if (map_read_->next_index >= map_read_->handles.size()) {
-    // Done: deliver the loot.
-    auto callback = std::move(pair_op_->map_callback);
-    auto bodies = std::move(map_read_->bodies);
-    map_read_.reset();
-    pair_op_.reset();
-    if (callback) callback(std::move(bodies));
-    return;
-  }
-  const std::uint16_t handle = map_read_->handles[map_read_->next_index++];
-  map_.set_get_callback([this, peer](std::optional<std::string> body) {
-    if (!map_read_) return;
-    if (body) map_read_->bodies.push_back(std::move(*body));
-    continue_map_read(peer);
+  start_op(peer, ProfileTarget::kPan, [cb = std::move(callback)](hci::Status status, OpResult) {
+    if (cb) cb(status == hci::Status::kSuccess);
   });
-  map_.request_message(l2cap_, map_read_->channel, handle);
+}
+
+void HostStack::pull_phonebook(const BdAddr& peer, ListCallback callback) {
+  start_op(peer, ProfileTarget::kPbap, [cb = std::move(callback)](hci::Status, OpResult result) {
+    if (cb) cb(std::move(result));
+  });
+}
+
+void HostStack::read_messages(const BdAddr& peer, ListCallback callback) {
+  start_op(peer, ProfileTarget::kMap, [cb = std::move(callback)](hci::Status, OpResult result) {
+    if (cb) cb(std::move(result));
+  });
 }
 
 void HostStack::connect_hfp(const BdAddr& peer, BoolCallback callback) {
-  if (pair_op_) {
-    if (callback) callback(false);
-    return;
-  }
-  PairOp op;
-  op.peer = peer;
-  op.profile = ProfileTarget::kHfp;
-  op.hfp_callback = std::move(callback);
-  Acl* acl = acl_by_peer(peer);
-  if (acl != nullptr && (acl->authenticated || acl->encrypted)) {
-    op.stage = OpStage::kChannel;
-    adopt_pair_op(std::move(op));
-    start_profile_channel(peer);
-    return;
-  }
-  op.stage = OpStage::kConnecting;
-  adopt_pair_op(std::move(op));
-  if (acl != nullptr) {
-    continue_pair_after_connect(*acl);
-  } else {
-    hci::CreateConnectionCmd cmd;
-    cmd.bdaddr = peer;
-    send_command(hci::encode(cmd));
-  }
+  start_op(peer, ProfileTarget::kHfp, [cb = std::move(callback)](hci::Status status, OpResult) {
+    if (cb) cb(status == hci::Status::kSuccess);
+  });
 }
 
 void HostStack::hfp_send_at(const BdAddr& peer, const std::string& command) {
@@ -365,98 +288,66 @@ void HostStack::start_profile_channel(const BdAddr& peer) {
   if (acl == nullptr || !pair_op_ || pair_op_->profile == ProfileTarget::kNone) return;
   pair_op_->stage = OpStage::kChannel;
   const ProfileTarget profile = pair_op_->profile;
-
-  auto fail = [this, peer, profile] {
-    if (!pair_op_ || !(pair_op_->peer == peer)) return;
-    PairOp op = std::move(*pair_op_);
-    pair_op_.reset();
-    if (profile == ProfileTarget::kPan && op.pan_callback) op.pan_callback(false);
-    if (profile == ProfileTarget::kPbap && op.pbap_callback) op.pbap_callback(std::nullopt);
-    if (profile == ProfileTarget::kHfp && op.hfp_callback) op.hfp_callback(false);
-    if (profile == ProfileTarget::kMap && op.map_callback) op.map_callback(std::nullopt);
-  };
-
-  if (profile == ProfileTarget::kPan) {
-    pan_.set_client_callback([this, peer](bool connected) {
-      if (pair_op_ && pair_op_->profile == ProfileTarget::kPan && pair_op_->peer == peer) {
-        auto callback = std::move(pair_op_->pan_callback);
-        pair_op_.reset();
-        if (callback) callback(connected);
-      }
-    });
-    l2cap_.connect_channel(acl->handle, psm::kBnep,
-                           [this, fail](std::optional<L2capChannel> channel) {
-                             if (!channel) {
-                               fail();
-                               return;
-                             }
-                             pan_.setup(l2cap_, *channel);
-                           });
-    return;
-  }
-
-  if (profile == ProfileTarget::kHfp) {
-    l2cap_.connect_channel(acl->handle, psm_ext2::kHfp,
-                           [this, peer, fail](std::optional<L2capChannel> channel) {
-                             if (!channel) {
-                               fail();
-                               return;
-                             }
-                             hfp_channels_[peer] = *channel;
-                             if (pair_op_ && pair_op_->profile == ProfileTarget::kHfp &&
-                                 pair_op_->peer == peer) {
-                               auto callback = std::move(pair_op_->hfp_callback);
-                               pair_op_.reset();
-                               if (callback) callback(true);
-                             }
-                           });
-    return;
-  }
-
-  if (profile == ProfileTarget::kMap) {
-    l2cap_.connect_channel(
-        acl->handle, psm_ext3::kMap, [this, peer, fail](std::optional<L2capChannel> channel) {
-          if (!channel) {
-            fail();
-            return;
-          }
-          map_read_ = MapReadState{*channel, {}, 0, {}};
-          map_.set_list_callback([this, peer](std::optional<std::vector<std::uint16_t>> handles) {
-            if (!map_read_) return;
-            if (!handles) {
-              map_read_.reset();
-              if (pair_op_ && pair_op_->profile == ProfileTarget::kMap) {
-                auto callback = std::move(pair_op_->map_callback);
-                pair_op_.reset();
-                if (callback) callback(std::nullopt);
-              }
-              return;
-            }
-            map_read_->handles = std::move(*handles);
-            continue_map_read(peer);
-          });
-          map_.request_list(l2cap_, *channel);
-        });
-    return;
-  }
-
-  // PBAP: pull the phone book once the channel opens.
-  pbap_.set_client_callback(
-      [this, peer](std::optional<std::vector<std::string>> entries) {
-        if (pair_op_ && pair_op_->profile == ProfileTarget::kPbap && pair_op_->peer == peer) {
-          auto callback = std::move(pair_op_->pbap_callback);
-          pair_op_.reset();
-          if (callback) callback(std::move(entries));
+  l2cap_.connect_channel(
+      acl->handle, static_cast<std::uint16_t>(profile),
+      [this, peer, profile](std::optional<L2capChannel> channel) {
+        if (!channel) {
+          if (op_awaits(profile, peer)) complete_op(kProfileRefused, std::nullopt);
+          return;
+        }
+        // What each profile sends once its channel opens. The request goes
+        // out even if the op failed meanwhile; its answer then finds no op.
+        switch (profile) {
+          case ProfileTarget::kPan:
+            pan_.setup(l2cap_, *channel);
+            break;
+          case ProfileTarget::kPbap:
+            pbap_.pull(l2cap_, *channel);
+            break;
+          case ProfileTarget::kMap:
+            if (op_awaits(profile, peer)) map_read_ = MapReadState{*channel, {}, 0, {}};
+            map_.request_list(l2cap_, *channel);
+            break;
+          case ProfileTarget::kHfp:
+            // HFP sends nothing: the open channel is the result.
+            hfp_channels_[peer] = *channel;
+            if (op_awaits(profile, peer)) complete_op(hci::Status::kSuccess, std::nullopt);
+            break;
+          case ProfileTarget::kNone:
+            break;
         }
       });
-  l2cap_.connect_channel(acl->handle, psm_ext::kPbap,
-                         [this, fail](std::optional<L2capChannel> channel) {
-                           if (!channel) {
-                             fail();
-                             return;
-                           }
-                           pbap_.pull(l2cap_, *channel);
-                         });
+}
+
+bool HostStack::op_awaits(ProfileTarget profile, const BdAddr& peer) const {
+  return pair_op_ && pair_op_->profile == profile && pair_op_->peer == peer;
+}
+
+void HostStack::answer_op(ProfileTarget profile, const L2capChannel& channel, hci::Status status,
+                          OpResult result) {
+  const Acl* acl = acl_by_handle(channel.acl_handle);
+  if (acl != nullptr && op_awaits(profile, acl->peer)) complete_op(status, std::move(result));
+}
+
+void HostStack::on_map_reply(MapProfile::Reply reply) {
+  // A read lives only while its op holds the slot, but a loaded snapshot
+  // can carry one without an op: check both.
+  if (!map_read_ || !pair_op_) return;
+  MapReadState& read = *map_read_;
+  const bool list_outstanding = read.handles.empty() && read.next_index == 0;
+  if (auto* handles = std::get_if<std::vector<std::uint16_t>>(&reply)) {
+    if (!list_outstanding) return;
+    read.handles = std::move(*handles);
+  } else if (list_outstanding) {
+    return;
+  } else if (auto& body = std::get<std::optional<std::string>>(reply)) {
+    read.bodies.push_back(std::move(*body));
+  }
+  if (read.next_index < read.handles.size()) {
+    map_.request_message(l2cap_, read.channel, read.handles[read.next_index++]);
+    return;
+  }
+  complete_op(hci::Status::kSuccess, std::move(read.bodies));  // done: deliver the loot
 }
 
 void HostStack::send_echo(const BdAddr& peer, std::function<void()> on_response) {
@@ -584,31 +475,19 @@ void HostStack::mark_degraded(const BdAddr& peer, const char* why) {
 
 void HostStack::retry_pair_op(PairOp op) {
   // The queued retry is abandoned (the stack was tearing the profile down
-  // while the backoff ran): the original operation fails with a timeout —
-  // exactly the slot-reclaimed path below, deliberately.
-  if (BLAP_FAILPOINT("host.pair.retry_abandoned")) {
-    dispatch_pair_result(std::move(op), hci::Status::kConnectionTimeout);
+  // while the backoff ran), or another operation claimed the slot during
+  // the backoff: either way the original operation fails with a timeout
+  // instead of queueing behind it. The failpoint is consulted first.
+  if (BLAP_FAILPOINT("host.pair.retry_abandoned") || pair_op_) {
+    deliver(std::move(op), hci::Status::kConnectionTimeout, std::nullopt);
     return;
   }
-  if (pair_op_) {
-    // Another operation claimed the slot during the backoff; surface the
-    // original failure instead of queueing behind it.
-    dispatch_pair_result(std::move(op), hci::Status::kConnectionTimeout);
-    return;
-  }
-  if (op.profile == ProfileTarget::kMap) map_read_.reset();  // stale read state
   const BdAddr peer = op.peer;
   op.stage = OpStage::kConnecting;
   adopt_pair_op(std::move(op));
   BLAP_INFO("host", "%s: retrying pair operation to %s", config_.device_name.c_str(),
             peer.to_string().c_str());
-  if (Acl* acl = acl_by_peer(peer)) {
-    continue_pair_after_connect(*acl);
-  } else {
-    hci::CreateConnectionCmd cmd;
-    cmd.bdaddr = peer;
-    send_command(hci::encode(cmd));
-  }
+  secure_link(peer);
 }
 
 // ---------------------------------------------------------------------------
@@ -1038,9 +917,7 @@ void HostStack::on_inquiry_complete() {
 
 void HostStack::finish_pair_op(const BdAddr& peer, hci::Status status) {
   if (!pair_op_ || !(pair_op_->peer == peer)) return;
-  PairOp op = std::move(*pair_op_);
-  pair_op_.reset();
-  op.watchdog.cancel();
+  PairOp op = release_op();
   if (status == hci::Status::kSuccess) {
     security_.note_pairing_success(peer);
   } else if (config_.fault_recovery) {
@@ -1064,38 +941,36 @@ void HostStack::finish_pair_op(const BdAddr& peer, hci::Status status) {
       return;
     }
   }
-  dispatch_pair_result(std::move(op), status);
+  deliver(std::move(op), status, std::nullopt);
 }
 
-void HostStack::dispatch_pair_result(PairOp op, hci::Status status) {
+// A profile channel's answer ends the op as it stands: unlike
+// finish_pair_op there is no retry and no retry-budget bookkeeping.
+void HostStack::complete_op(hci::Status status, OpResult result) {
+  deliver(release_op(), status, std::move(result));
+}
+
+HostStack::PairOp HostStack::release_op() {
+  PairOp op = std::move(*pair_op_);
+  pair_op_.reset();
+  map_read_.reset();  // a MAP read lives only as long as its op
+  // A watchdog left armed would fail whichever later op to this peer is in
+  // flight when it fires.
+  op.watchdog.cancel();
+  return op;
+}
+
+void HostStack::deliver(PairOp op, hci::Status status, OpResult result) {
   if (obs_ != nullptr && op.obs_span != 0)
     obs_->end_span(scheduler_.now(), op.obs_span, to_string(status));
-  switch (op.profile) {
-    case ProfileTarget::kPan:
-      if (op.pan_callback) op.pan_callback(status == hci::Status::kSuccess);
-      break;
-    case ProfileTarget::kPbap:
-      if (op.pbap_callback) op.pbap_callback(std::nullopt);  // never reached the pull
-      break;
-    case ProfileTarget::kHfp:
-      if (op.hfp_callback) op.hfp_callback(false);
-      break;
-    case ProfileTarget::kMap:
-      map_read_.reset();
-      if (op.map_callback) op.map_callback(std::nullopt);
-      break;
-    case ProfileTarget::kNone:
-      if (op.callback) op.callback(status);
-      break;
-  }
+  op.done(status, std::move(result));
 }
 
 bool HostStack::quiescent() const {
   return !pair_op_.has_value() && !connect_op_.has_value() &&
          !discovery_callback_.has_value() && !name_request_.has_value() &&
          !map_read_.has_value() && !ploc_active_ && ploc_queue_.empty() &&
-         l2cap_.quiescent() && sdp_client_.quiescent() && pan_.quiescent() &&
-         pbap_.quiescent() && map_.quiescent();
+         l2cap_.quiescent() && sdp_client_.quiescent();
 }
 
 template <state::StateIo Io, state::ConstOnSave<Io> Self>
@@ -1213,9 +1088,6 @@ void HostStack::persist(Io& io, Self& self) {
     self.discovery_callback_.reset();
     self.name_request_.reset();
     self.sdp_client_.reset_pending();
-    self.pan_.reset_pending();
-    self.pbap_.reset_pending();
-    self.map_.reset_pending();
     self.obs_ploc_span_ = 0;
   }
 }

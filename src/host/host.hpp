@@ -126,6 +126,8 @@ class HostStack {
  public:
   using StatusCallback = std::function<void(hci::Status)>;
   using BoolCallback = std::function<void(bool)>;
+  /// PBAP phone book entries or MAP message bodies; nullopt on failure.
+  using ListCallback = std::function<void(std::optional<std::vector<std::string>>)>;
 
   struct Discovered {
     BdAddr address;
@@ -171,6 +173,11 @@ class HostStack {
   void request_remote_name(const BdAddr& peer,
                            std::function<void(std::optional<std::string>)> callback);
 
+  // Operations: pair and the four profile ops below share one slot. A
+  // second op while one is in flight fails at once (kPairingNotAllowed,
+  // false or nullopt); otherwise the callback fires exactly once, when the
+  // op succeeds or finally fails (after any fault-recovery retries).
+
   /// Pair / authenticate with a peer. Reuses an existing ACL if present
   /// (the page blocking attack's entry point); otherwise pages first. On
   /// success the link is authenticated AND encrypted.
@@ -187,13 +194,12 @@ class HostStack {
   /// Pull the peer's phone book over PBAP: ensures authentication, then
   /// opens the PBAP channel and requests the entries. This is the "mine
   /// sensitive information" end state of the paper's attack model (§III-B).
-  void pull_phonebook(const BdAddr& peer, PbapProfile::PullCallback callback);
+  void pull_phonebook(const BdAddr& peer, ListCallback callback);
 
   /// Read every message from the peer's MAP store: ensures authentication,
   /// lists the handles, then fetches each body. Callback gets nullopt on
   /// failure. The last of the paper's three §III "sensitive data" services.
-  void read_messages(const BdAddr& peer,
-                     std::function<void(std::optional<std::vector<std::string>>)> callback);
+  void read_messages(const BdAddr& peer, ListCallback callback);
 
   /// Open an HFP control/audio channel to the peer (ensures authentication).
   /// Afterwards hfp_send_at()/hfp_send_audio() operate on the open channel.
@@ -271,18 +277,29 @@ class HostStack {
  private:
   enum class OpStage : std::uint8_t { kConnecting, kAuthenticating, kEncrypting, kChannel };
 
-  enum class ProfileTarget : std::uint8_t { kNone, kPan, kPbap, kHfp, kMap };
+  /// What an op does once the link is secure: nothing more (pair), or open
+  /// the profile's channel. Each profile is named by its PSM.
+  enum class ProfileTarget : std::uint16_t {
+    kNone = 0,
+    kPan = psm::kBnep,
+    kPbap = psm::kPbap,
+    kHfp = psm::kHfp,
+    kMap = psm::kMap,
+  };
 
+  /// An op's result: PBAP entries or MAP bodies, nullopt for other ops and
+  /// on failure.
+  using OpResult = std::optional<std::vector<std::string>>;
+  using OpDone = std::function<void(hci::Status, OpResult)>;
+
+  /// The one in-flight op. `done` is its only continuation: every way out
+  /// calls it exactly once, after the slot is released.
   struct PairOp {
     BdAddr peer;
-    OpStage stage = OpStage::kConnecting;
-    std::uint64_t obs_span = 0;
-    StatusCallback callback;
     ProfileTarget profile = ProfileTarget::kNone;
-    BoolCallback pan_callback;
-    PbapProfile::PullCallback pbap_callback;
-    BoolCallback hfp_callback;
-    std::function<void(std::optional<std::vector<std::string>>)> map_callback;
+    OpStage stage = OpStage::kConnecting;
+    std::uint64_t obs_span = 0;  // pair() only
+    OpDone done;
     EventHandle watchdog;  // armed only when fault_recovery is on
   };
 
@@ -324,10 +341,21 @@ class HostStack {
   void on_remote_name_complete(const hci::RemoteNameRequestCompleteEvt& evt);
   void on_command_complete(const hci::CommandCompleteEvt& evt);
 
-  // GAP helpers.
+  // The op path: start_op -> secure_link (connect, authenticate, encrypt)
+  // -> start_profile_channel -> complete_op. finish_pair_op ends the link
+  // stage (and may retry); complete_op delivers a profile channel's answer.
+  void start_op(const BdAddr& peer, ProfileTarget profile, OpDone done);
+  void secure_link(const BdAddr& peer);
   void continue_pair_after_connect(Acl& acl);
   void finish_pair_op(const BdAddr& peer, hci::Status status);
   void start_profile_channel(const BdAddr& peer);
+  [[nodiscard]] bool op_awaits(ProfileTarget profile, const BdAddr& peer) const;
+  void answer_op(ProfileTarget profile, const L2capChannel& channel, hci::Status status,
+                 OpResult result = std::nullopt);
+  void complete_op(hci::Status status, OpResult result);
+  PairOp release_op();
+  void deliver(PairOp op, hci::Status status, OpResult result);
+  void on_map_reply(MapProfile::Reply reply);
   void touch(Acl& acl);
   void arm_idle_timer(Acl& acl);
 
@@ -336,7 +364,6 @@ class HostStack {
   void adopt_pair_op(PairOp op);
   void arm_pair_watchdog();
   void retry_pair_op(PairOp op);
-  void dispatch_pair_result(PairOp op, hci::Status status);
   void mark_degraded(const BdAddr& peer, const char* why);
 
   Acl* acl_by_peer(const BdAddr& peer);
@@ -360,7 +387,9 @@ class HostStack {
   HfpProfile hfp_;
   MapProfile map_;
   std::map<BdAddr, L2capChannel> hfp_channels_;
-  // In-flight MAP exfiltration state (client role).
+  // In-flight MAP exfiltration state (client role), live only while its
+  // read_messages op holds the slot. Empty `handles` with `next_index` 0
+  // means the handle list is outstanding; otherwise one message body is.
   struct MapReadState {
     L2capChannel channel;
     std::vector<std::uint16_t> handles;
@@ -368,7 +397,6 @@ class HostStack {
     std::vector<std::string> bodies;
   };
   std::optional<MapReadState> map_read_;
-  void continue_map_read(const BdAddr& peer);
   UserAgent default_user_;
   UserAgent* user_agent_ = &default_user_;
 

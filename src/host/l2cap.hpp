@@ -1,8 +1,9 @@
 // l2cap.hpp — minimal L2CAP: channel establishment over ACL links.
 //
-// Just enough of L2CAP for the profiles BLAP's scenarios exercise (SDP and
-// PAN/BNEP) plus the echo request — the "dummy data" keep-alive the paper
-// suggests for holding a PLOC link open past the host's idle timeout.
+// Just enough of L2CAP for the profiles BLAP's scenarios exercise (SDP,
+// PAN/BNEP, PBAP, HFP and MAP; their PSMs are below) plus the echo request —
+// the "dummy data" keep-alive the paper suggests for holding a PLOC link
+// open past the host's idle timeout.
 //
 // Framing: every ACL payload is [CID u16 LE][data]. CID 0x0001 is the
 // signaling channel carrying [code u8][id u8][len u16][payload] commands;
@@ -22,6 +23,9 @@ namespace blap::host {
 namespace psm {
 inline constexpr std::uint16_t kSdp = 0x0001;
 inline constexpr std::uint16_t kBnep = 0x000F;  // PAN profile transport
+inline constexpr std::uint16_t kPbap = 0x1003;
+inline constexpr std::uint16_t kHfp = 0x1005;
+inline constexpr std::uint16_t kMap = 0x1007;
 }  // namespace psm
 
 struct L2capChannel {

@@ -60,42 +60,34 @@ void MapProfile::request_message(L2cap& l2cap, const L2capChannel& channel,
   l2cap.send(channel, w.data());
 }
 
-void MapProfile::on_client_data(BytesView data) {
+std::optional<MapProfile::Reply> MapProfile::parse_response(BytesView data) {
   ByteReader r(data);
   auto code = r.u8();
-  if (!code) return;
+  if (!code) return std::nullopt;
   if (*code == kListResponse) {
     auto count = r.u8();
-    if (!count) return;
+    if (!count) return std::nullopt;
     std::vector<std::uint16_t> handles;
     for (std::uint8_t i = 0; i < *count; ++i) {
       auto handle = r.u16();
       if (!handle) break;
       handles.push_back(*handle);
     }
-    if (list_callback_) {
-      auto cb = std::move(list_callback_);
-      list_callback_ = nullptr;
-      cb(std::move(handles));
-    }
-    return;
+    return Reply(std::move(handles));
   }
   if (*code == kGetResponse) {
     auto handle = r.u16();
     auto found = r.u8();
     auto len = r.u16();
-    if (!handle || !found || !len) return;
+    if (!handle || !found || !len) return std::nullopt;
     std::optional<std::string> body;
     if (*found) {
       auto bytes = r.bytes(*len);
       if (bytes) body = std::string(bytes->begin(), bytes->end());
     }
-    if (get_callback_) {
-      auto cb = std::move(get_callback_);
-      get_callback_ = nullptr;
-      cb(std::move(body));
-    }
+    return Reply(std::move(body));
   }
+  return std::nullopt;
 }
 
 }  // namespace blap::host

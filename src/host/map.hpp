@@ -19,24 +19,21 @@
 //   get response  : 0x23 | handle u16 | found u8 | len u16 | body
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "host/l2cap.hpp"
 
 namespace blap::host {
 
-namespace psm_ext3 {
-inline constexpr std::uint16_t kMap = 0x1007;
-}
-
 class MapProfile {
  public:
-  using ListCallback = std::function<void(std::optional<std::vector<std::uint16_t>>)>;
-  using GetCallback = std::function<void(std::optional<std::string>)>;
+  /// A server reply seen by the client: the handle list, or one message
+  /// body (nullopt when the server has no such handle).
+  using Reply = std::variant<std::vector<std::uint16_t>, std::optional<std::string>>;
 
   /// Server side: the message store (handle -> body).
   void add_message(std::uint16_t handle, std::string body) {
@@ -53,18 +50,12 @@ class MapProfile {
   void request_list(L2cap& l2cap, const L2capChannel& channel);
   void request_message(L2cap& l2cap, const L2capChannel& channel, std::uint16_t handle);
 
-  /// Feed data arriving on a MAP channel we initiated.
-  void on_client_data(BytesView data);
+  /// Client side: parse data arriving on a MAP channel we initiated; nullopt
+  /// when it is neither a list nor a get response.
+  [[nodiscard]] static std::optional<Reply> parse_response(BytesView data);
 
-  void set_list_callback(ListCallback callback) { list_callback_ = std::move(callback); }
-  void set_get_callback(GetCallback callback) { get_callback_ = std::move(callback); }
-
-  /// Snapshot support (callback handling as in PanProfile).
-  [[nodiscard]] bool quiescent() const { return !list_callback_ && !get_callback_; }
-  void reset_pending() {
-    list_callback_ = nullptr;
-    get_callback_ = nullptr;
-  }
+  /// Snapshot support: the message store (the client half holds no state,
+  /// as in PanProfile).
   template <state::StateIo Io, state::ConstOnSave<Io> Self>
   static void persist(Io& io, Self& self) {
     io.map(self.messages_, state::Duplicates::kLastWins, [&io](auto& handle, auto& body) {
@@ -76,8 +67,6 @@ class MapProfile {
 
  private:
   std::map<std::uint16_t, std::string> messages_;
-  ListCallback list_callback_;
-  GetCallback get_callback_;
   int serves_ = 0;
 };
 

@@ -7,16 +7,6 @@ constexpr std::uint8_t kSetupRequest = 0x01;
 constexpr std::uint8_t kSetupResponse = 0x02;
 }  // namespace
 
-void PanProfile::attach_server(L2cap& l2cap) {
-  server_l2cap_ = &l2cap;
-  L2cap::Service service;
-  service.requires_authentication = true;  // the profile's GAP security rule
-  service.on_data = [this, &l2cap](const L2capChannel& channel, BytesView data) {
-    handle_server(l2cap, channel, data);
-  };
-  l2cap.register_service(psm::kBnep, std::move(service));
-}
-
 bool PanProfile::handle_server(L2cap& l2cap, const L2capChannel& channel, BytesView data) {
   ByteReader r(data);
   auto code = r.u8();
@@ -34,16 +24,12 @@ void PanProfile::setup(L2cap& l2cap, const L2capChannel& channel) {
   l2cap.send(channel, w.data());
 }
 
-void PanProfile::on_client_data(BytesView payload) {
+std::optional<bool> PanProfile::parse_response(BytesView payload) {
   ByteReader r(payload);
   auto code = r.u8();
   auto status = r.u8();
-  if (!code || *code != kSetupResponse || !status) return;
-  if (client_callback_) {
-    auto cb = std::move(client_callback_);
-    client_callback_ = nullptr;
-    cb(*status == 0x00);
-  }
+  if (!code || *code != kSetupResponse || !status) return std::nullopt;
+  return *status == 0x00;
 }
 
 }  // namespace blap::host

@@ -11,7 +11,7 @@
 //   response: 0x02 | status u8 (0x00 success)
 #pragma once
 
-#include <functional>
+#include <optional>
 
 #include "host/l2cap.hpp"
 
@@ -19,12 +19,6 @@ namespace blap::host {
 
 class PanProfile {
  public:
-  using Callback = std::function<void(bool connected)>;
-
-  /// Register the NAP (server) side on L2CAP. Channels on this PSM require
-  /// authentication — the host's auth oracle gates them.
-  void attach_server(L2cap& l2cap);
-
   /// Handle an inbound BNEP message if it is a setup request. Returns false
   /// when it is not a request (a response for the client role instead).
   bool handle_server(L2cap& l2cap, const L2capChannel& channel, BytesView data);
@@ -32,26 +26,20 @@ class PanProfile {
   /// Client side: run BNEP setup on an already-opened L2CAP channel.
   void setup(L2cap& l2cap, const L2capChannel& channel);
 
-  /// Feed data arriving on a PAN channel we initiated.
-  void on_client_data(BytesView payload);
-
-  void set_client_callback(Callback callback) { client_callback_ = std::move(callback); }
+  /// Client side: parse data arriving on a PAN channel we initiated. A setup
+  /// response yields whether the NAP accepted; anything else nullopt.
+  [[nodiscard]] static std::optional<bool> parse_response(BytesView payload);
 
   [[nodiscard]] bool server_session_active() const { return server_sessions_ > 0; }
 
-  /// Snapshot support. The client callback is not serializable: quiescent()
-  /// is the strict-capture precondition, reset_pending() the kRewind
-  /// residue cleanup.
-  [[nodiscard]] bool quiescent() const { return !client_callback_; }
-  void reset_pending() { client_callback_ = nullptr; }
+  /// Snapshot support. The client half holds no state: the host's op
+  /// waits on the response.
   template <state::StateIo Io, state::ConstOnSave<Io> Self>
   static void persist(Io& io, Self& self) {
     io.field(self.server_sessions_);
   }
 
  private:
-  Callback client_callback_;
-  L2cap* server_l2cap_ = nullptr;
   int server_sessions_ = 0;
 };
 

@@ -31,11 +31,11 @@ void PbapProfile::pull(L2cap& l2cap, const L2capChannel& channel) {
   l2cap.send(channel, w.data());
 }
 
-void PbapProfile::on_client_data(BytesView data) {
+std::optional<std::vector<std::string>> PbapProfile::parse_response(BytesView data) {
   ByteReader r(data);
   auto code = r.u8();
   auto count = r.u8();
-  if (!code || *code != kPullResponse || !count) return;
+  if (!code || *code != kPullResponse || !count) return std::nullopt;
   std::vector<std::string> entries;
   for (std::uint8_t i = 0; i < *count; ++i) {
     auto len = r.u8();
@@ -44,11 +44,7 @@ void PbapProfile::on_client_data(BytesView data) {
     if (!bytes) break;
     entries.emplace_back(bytes->begin(), bytes->end());
   }
-  if (client_callback_) {
-    auto cb = std::move(client_callback_);
-    client_callback_ = nullptr;
-    cb(std::move(entries));
-  }
+  return entries;
 }
 
 }  // namespace blap::host

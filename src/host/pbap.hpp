@@ -18,7 +18,7 @@
 //   response: 0x11 | count u8 | count x (len u8 | utf8 vCard-ish entry)
 #pragma once
 
-#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,14 +26,8 @@
 
 namespace blap::host {
 
-namespace psm_ext {
-inline constexpr std::uint16_t kPbap = 0x1003;
-}
-
 class PbapProfile {
  public:
-  using PullCallback = std::function<void(std::optional<std::vector<std::string>>)>;
-
   /// Server side: entries served to authenticated peers.
   void set_phonebook(std::vector<std::string> entries) { phonebook_ = std::move(entries); }
   [[nodiscard]] const std::vector<std::string>& phonebook() const { return phonebook_; }
@@ -45,14 +39,12 @@ class PbapProfile {
   /// Client side: send the pull request on an opened channel.
   void pull(L2cap& l2cap, const L2capChannel& channel);
 
-  /// Feed data arriving on a PBAP channel we initiated.
-  void on_client_data(BytesView data);
+  /// Client side: parse data arriving on a PBAP channel we initiated. A
+  /// pull response yields its entries; anything else nullopt.
+  [[nodiscard]] static std::optional<std::vector<std::string>> parse_response(BytesView data);
 
-  void set_client_callback(PullCallback callback) { client_callback_ = std::move(callback); }
-
-  /// Snapshot support (callback handling as in PanProfile).
-  [[nodiscard]] bool quiescent() const { return !client_callback_; }
-  void reset_pending() { client_callback_ = nullptr; }
+  /// Snapshot support: the served phone book (the client half holds no
+  /// state, as in PanProfile).
   template <state::StateIo Io, state::ConstOnSave<Io> Self>
   static void persist(Io& io, Self& self) {
     io.seq(self.phonebook_);
@@ -61,7 +53,6 @@ class PbapProfile {
 
  private:
   std::vector<std::string> phonebook_;
-  PullCallback client_callback_;
   int serves_ = 0;
 };
 

@@ -104,21 +104,26 @@ TEST(Map, UnknownHandleReportsNotFound) {
   ASSERT_TRUE(paired);
   const auto acls = carkit.host().acls();
   ASSERT_EQ(acls.size(), 1u);
-  std::optional<std::string> body = "sentinel";
-  bool got = false;
+  // The carkit's own MAP service is swapped for one that hands every reply
+  // to the client parser; no read_messages op is in flight to take it.
+  std::optional<host::MapProfile::Reply> reply;
+  host::L2cap::Service capture;
+  capture.requires_authentication = true;
+  capture.on_data = [&reply](const host::L2capChannel&, BytesView data) {
+    reply = host::MapProfile::parse_response(data);
+  };
+  carkit.host().l2cap().register_service(host::psm::kMap, std::move(capture));
   carkit.host().l2cap().connect_channel(
-      acls[0].handle, host::psm_ext3::kMap,
+      acls[0].handle, host::psm::kMap,
       [&](std::optional<host::L2capChannel> channel) {
         ASSERT_TRUE(channel.has_value());
-        carkit.host().map().set_get_callback([&](std::optional<std::string> b) {
-          body = std::move(b);
-          got = true;
-        });
         carkit.host().map().request_message(carkit.host().l2cap(), *channel, 0x9999);
       });
   sim.run_for(2 * kSecond);
-  ASSERT_TRUE(got);
-  EXPECT_FALSE(body.has_value());
+  ASSERT_TRUE(reply.has_value());
+  const auto* body = std::get_if<std::optional<std::string>>(&*reply);
+  ASSERT_NE(body, nullptr);
+  EXPECT_FALSE(body->has_value());
 }
 
 }  // namespace

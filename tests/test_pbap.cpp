@@ -56,7 +56,7 @@ TEST(Pbap, UnauthenticatedChannelIsRefused) {
 
   bool channel_result_known = false;
   bool channel_opened = false;
-  client.host().l2cap().connect_channel(acls[0].handle, host::psm_ext::kPbap,
+  client.host().l2cap().connect_channel(acls[0].handle, host::psm::kPbap,
                                         [&](std::optional<host::L2capChannel> ch) {
                                           channel_opened = ch.has_value();
                                           channel_result_known = true;
