@@ -8,15 +8,17 @@
 // supervision timeouts) are folded into each cell's deterministic metrics
 // JSON.
 //
+// Every cell forks its trials from a warm snapshot; the output is
+// byte-identical to the per-trial rebuild it was captured on
+// (tests/golden/bench_fault_sweep.*).
+//
 // Env: BLAP_TRIALS (default 100/cell), BLAP_JOBS (worker count; aggregates
 // are bit-identical for any value), BLAP_JSON=<path> (dump per-cell JSON,
-// per-trial rows included), BLAP_SNAPSHOT_FORK=1 (fork each trial from a
-// warm snapshot instead of rebuilding; byte-identical output, CI-diffed).
+// per-trial rows included).
 #include "bench_util.hpp"
 
 #include <fstream>
 
-#include "faults/fault_plan.hpp"
 #include "snapshot/fork_campaign.hpp"
 
 int main() {
@@ -29,8 +31,6 @@ int main() {
   // channel, not the victim profile.
   constexpr std::size_t kProfileIndex = 5;
   const auto& profile = core::table2_profiles()[kProfileIndex];
-  const bool fork_mode = snapshot::fork_mode_enabled();
-  if (fork_mode) std::fprintf(stderr, "[campaign] snapshot-fork mode\n");
 
   snapshot::ScenarioParams params;
   params.kind = snapshot::ScenarioParams::Kind::kAbc;
@@ -63,28 +63,8 @@ int main() {
     cfg.root_seed = root;
     root += 1'000'000;
 
-    const auto trial_body = [&](const campaign::TrialSpec& spec, Scenario& s) {
-      auto& obs = s.sim->enable_observability({.tracing = false, .metrics = true});
-      if (loss > 0.0) {
-        faults::FaultPlan plan;
-        plan.seed = spec.seed;
-        plan.loss = loss;
-        s.sim->set_fault_plan(plan);
-      }
-      const auto report =
-          core::PageBlockingAttack::run(*s.sim, *s.attacker, *s.accessory, *s.target, {});
-      campaign::TrialResult r;
-      r.success = report.mitm_established;
-      r.virtual_end = s.sim->now();
-      r.metrics = std::make_shared<obs::MetricsSnapshot>(obs.snapshot());
-      return r;
-    };
-    const auto summary =
-        fork_mode ? snapshot::run_fork_campaign(cfg, params, trial_body)
-                  : campaign::run_campaign(cfg, [&](const campaign::TrialSpec& spec) {
-                      Scenario s = snapshot::build_scenario(spec.seed, params);
-                      return trial_body(spec, s);
-                    });
+    const auto summary = snapshot::run_fork_campaign(
+        cfg, params, snapshot::PageBlockingTrial{.attack = true, .metrics = true, .loss = loss});
 
     std::printf("%6.0f%%  | %7.1f%%  | %4.1f-%4.1f%% | %12llu | %12llu | %12llu\n",
                 100.0 * loss, 100.0 * summary.success_rate, 100.0 * summary.ci.low,

@@ -11,6 +11,8 @@
 // measured column is bit-identical for any worker count.
 #include "bench_util.hpp"
 
+#include "snapshot/page_blocking_trial.hpp"
+
 int main() {
   using namespace blap;
   using namespace blap::bench;
@@ -48,10 +50,7 @@ int main() {
       s.attacker = &s.sim->add_device(a);
       s.accessory = &s.sim->add_device(c);
       s.target = &s.sim->add_device(m);
-      campaign::TrialResult r;
-      r.success = PageBlockingAttack::baseline_trial(*s.sim, *s.attacker, *s.accessory, *s.target);
-      r.virtual_end = s.sim->now();
-      return r;
+      return snapshot::PageBlockingTrial{}(spec, s);
     });
 
     const double measured = summary.success_rate;

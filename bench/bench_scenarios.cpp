@@ -7,6 +7,7 @@
 #include "bench_util.hpp"
 #include "core/link_key_extraction.hpp"
 #include "core/page_blocking.hpp"
+#include "snapshot/page_blocking_trial.hpp"
 
 namespace {
 
@@ -141,11 +142,7 @@ void BM_CampaignBaselineCell(benchmark::State& state) {
         campaign::run_campaign(cfg, [&](const campaign::TrialSpec& spec) {
           Scenario s = blap::bench::make_scenario(spec.seed, profile,
                                                   TransportKind::kUart, true);
-          campaign::TrialResult r;
-          r.success = PageBlockingAttack::baseline_trial(*s.sim, *s.attacker,
-                                                         *s.accessory, *s.target);
-          r.virtual_end = s.sim->now();
-          return r;
+          return blap::snapshot::PageBlockingTrial{}(spec, s);
         });
     successes += summary.successes;
   }

@@ -24,6 +24,7 @@
 // (override the 2.0x gate, e.g. for heavily loaded CI machines).
 #include "bench_util.hpp"
 
+#include "snapshot/chaos_trial.hpp"
 #include "snapshot/fork_campaign.hpp"
 
 int main() {
@@ -45,33 +46,8 @@ int main() {
   abc_params.profile_index = kProfileIndex;
   abc_params.baseline_bias = profile.baseline_mitm_success;
 
-  snapshot::ScenarioParams bonded_params;
-  bonded_params.kind = snapshot::ScenarioParams::Kind::kExtraction;
-  bonded_params.profile_index = kProfileIndex;
+  const snapshot::ScenarioParams bonded_params = snapshot::bonded_cell_params();
 
-  const auto baseline_body = [](const campaign::TrialSpec&, Scenario& s) {
-    campaign::TrialResult r;
-    r.success = core::PageBlockingAttack::baseline_trial(*s.sim, *s.attacker, *s.accessory,
-                                                         *s.target);
-    r.virtual_end = s.sim->now();
-    return r;
-  };
-  const auto attack_body = [](const campaign::TrialSpec&, Scenario& s) {
-    const auto report =
-        core::PageBlockingAttack::run(*s.sim, *s.attacker, *s.accessory, *s.target, {});
-    campaign::TrialResult r;
-    r.success = report.mitm_established;
-    r.virtual_end = s.sim->now();
-    return r;
-  };
-  // Bonded-cell warm-up: C pairs with M (SSP Numeric Comparison, P-256) and
-  // the stack drains to a strict-quiescent bonded idle. Runs under the build
-  // seed; the engine's per-trial reseed erases its randomness either way.
-  const auto bond_warmup = [](Scenario& s) {
-    s.accessory->host().pair(s.target->address(), [](hci::Status) {});
-    s.sim->run_for(30 * kSecond);
-    s.sim->run_until_idle();
-  };
   // Bonded-cell body: revalidate the stored link key by opening PAN (paper's
   // validation probe) — authentication reuses the bond, no ECDH. Fixed
   // 5-virtual-second window; PAN keep-alive timers re-arm, so no idle drain.
@@ -99,9 +75,9 @@ int main() {
     snapshot::ForkTrialFn body;
     snapshot::WarmSetupFn warm;
     bool gated;  // carries the >= min_speedup throughput gate
-  } cells[] = {{"baseline", &abc_params, baseline_body, {}, false},
-               {"attack", &abc_params, attack_body, {}, false},
-               {"bonded", &bonded_params, bonded_body, bond_warmup, true}};
+  } cells[] = {{"baseline", &abc_params, snapshot::PageBlockingTrial{}, {}, false},
+               {"attack", &abc_params, snapshot::PageBlockingTrial{.attack = true}, {}, false},
+               {"bonded", &bonded_params, bonded_body, snapshot::bonded_warm_setup, true}};
   std::uint64_t root = 10'000;
   for (const auto& cell : cells) {
     campaign::CampaignConfig cfg;

@@ -16,15 +16,14 @@
 // also dump the per-cell aggregate JSON. BLAP_LOSS=<p> (0 < p <= 1) runs
 // every trial over a lossy channel (iid loss p through the fault layer);
 // unset or 0 leaves the fault layer untouched and the output byte-identical
-// to the historical bench. BLAP_SNAPSHOT_FORK=1 switches every cell from
-// per-trial rebuilds to snapshot forking (build the topology once per
-// worker, restore+reseed per trial) — the aggregate output is byte-
-// identical either way, which the CI diffs.
+// to the historical bench. Every cell forks its trials from a warm snapshot
+// (build the topology once per worker, restore+reseed per trial); the
+// output is byte-identical to the per-trial rebuild it was captured on
+// (tests/golden/bench_table2.*).
 #include "bench_util.hpp"
 
 #include <fstream>
 
-#include "faults/fault_plan.hpp"
 #include "snapshot/fork_campaign.hpp"
 
 int main() {
@@ -33,36 +32,16 @@ int main() {
 
   const int baseline_trials = trial_count(100);
   const int attack_trials = trial_count(100);
-  const bool fork_mode = snapshot::fork_mode_enabled();
-  // Either path runs the same trial body on the same warm state: rebuild
-  // constructs it from spec.seed, fork restores it and reseeds.
-  const auto run_cell = [fork_mode](const campaign::CampaignConfig& cfg,
-                                    const snapshot::ScenarioParams& params,
-                                    const snapshot::ForkTrialFn& trial) {
-    if (fork_mode) return snapshot::run_fork_campaign(cfg, params, trial);
-    return campaign::run_campaign(cfg, [&](const campaign::TrialSpec& spec) {
-      Scenario s = snapshot::build_scenario(spec.seed, params);
-      return trial(spec, s);
-    });
-  };
   const char* loss_env = std::getenv("BLAP_LOSS");
   const double loss = loss_env != nullptr ? std::atof(loss_env) : 0.0;
   // BLAP_LOSS=0 still installs the (disabled) plan — deliberately, so the
   // fault layer's byte-identity contract is exercised at bench scale: the
   // output must match a run that never set BLAP_LOSS at all.
-  const auto apply_faults = [loss_env, loss](Scenario& s, std::uint64_t seed) {
-    if (loss_env == nullptr) return;
-    faults::FaultPlan plan;
-    if (loss > 0.0) {
-      plan.seed = seed;
-      plan.loss = loss;
-    }
-    s.sim->set_fault_plan(plan);
-  };
+  std::optional<double> trial_loss;
+  if (loss_env != nullptr) trial_loss = loss;
 
   banner("TABLE II — Success rates of MITM connection establishment");
   if (loss > 0.0) std::printf("(fault layer on: iid channel loss %.0f%%)\n", 100.0 * loss);
-  if (fork_mode) std::fprintf(stderr, "[campaign] snapshot-fork mode\n");
   std::printf("%-26s | %-10s %-12s | %-10s %-12s\n", "", "paper", "measured", "paper",
               "measured");
   std::printf("%-26s | %-23s | %-23s\n", "Device", "without page blocking",
@@ -93,31 +72,16 @@ int main() {
     cfg.trials = static_cast<std::size_t>(baseline_trials);
     cfg.root_seed = seed;
     seed += static_cast<std::uint64_t>(baseline_trials);
-    const auto baseline =
-        run_cell(cfg, params, [&](const campaign::TrialSpec& spec, Scenario& s) {
-          apply_faults(s, spec.seed);
-          campaign::TrialResult r;
-          r.success = core::PageBlockingAttack::baseline_trial(*s.sim, *s.attacker,
-                                                               *s.accessory, *s.target);
-          r.virtual_end = s.sim->now();
-          return r;
-        });
+    const auto baseline = snapshot::run_fork_campaign(
+        cfg, params, snapshot::PageBlockingTrial{.attack = false, .loss = trial_loss});
 
     // Attack: PLOC.
     cfg.label = profile.model + " page blocking";
     cfg.trials = static_cast<std::size_t>(attack_trials);
     cfg.root_seed = seed;
     seed += static_cast<std::uint64_t>(attack_trials);
-    const auto attack =
-        run_cell(cfg, params, [&](const campaign::TrialSpec& spec, Scenario& s) {
-          apply_faults(s, spec.seed);
-          const auto report = core::PageBlockingAttack::run(*s.sim, *s.attacker,
-                                                            *s.accessory, *s.target, {});
-          campaign::TrialResult r;
-          r.success = report.mitm_established;
-          r.virtual_end = s.sim->now();
-          return r;
-        });
+    const auto attack = snapshot::run_fork_campaign(
+        cfg, params, snapshot::PageBlockingTrial{.attack = true, .loss = trial_loss});
 
     const double baseline_rate = 100.0 * baseline.success_rate;
     const double attack_rate = 100.0 * attack.success_rate;

@@ -25,12 +25,11 @@
 // Chrome trace-event JSON — load it in Perfetto to see the attacker and
 // victim lanes race.
 //
-// --record-failures DIR writes a self-contained replay bundle (see
-// src/snapshot/replay.hpp) for every failing trial — up to 8 per cell, into
-// DIR/<cell>/trial-NNNNNN.blapreplay — reproducible standalone with
-// blap-replay. Recording runs the cells through the snapshot-fork engine;
-// so does BLAP_SNAPSHOT_FORK=1 without recording. Either way the output is
-// byte-identical to the rebuild path (the CI diffs it).
+// Every cell forks its trials from a warm snapshot (src/snapshot/
+// fork_campaign.hpp), which --record-failures DIR also records from: a
+// self-contained replay bundle (see src/snapshot/replay.hpp) for every
+// failing trial — up to 8 per cell, into DIR/<cell>/trial-NNNNNN.blapreplay —
+// reproducible standalone with blap-replay, with or without --metrics.
 //
 // Results are bit-identical for any BLAP_JOBS value and any re-run with the
 // same BLAP_TRIALS/BLAP_SEED: per-trial seeds are SplitMix64-derived from
@@ -101,10 +100,6 @@ int main(int argc, char** argv) {
                 summary->files_written, snoop_dir, summary->trials_failed);
     return 0;
   }
-  // Recording needs the fork engine's warm snapshot; BLAP_SNAPSHOT_FORK=1
-  // opts into it without recording.
-  const bool use_fork = record_dir != nullptr || snapshot::fork_mode_enabled();
-
   const std::size_t trials = static_cast<std::size_t>(trial_count(100));
   std::uint64_t root = 1;
   if (const char* env = std::getenv("BLAP_SEED")) root = std::strtoull(env, nullptr, 0);
@@ -142,51 +137,20 @@ int main(int argc, char** argv) {
       params.accessory_has_dump = true;
       params.baseline_bias = profile.baseline_mitm_success;
 
-      const auto trial_body = [&](const campaign::TrialSpec&, Scenario& s) {
-        if (with_metrics) {
-          obs::ObsConfig obs_cfg;
-          obs_cfg.metrics = true;
-          s.sim->enable_observability(obs_cfg);
-        }
-        campaign::TrialResult r;
-        if (with_blocking) {
-          const auto report =
-              PageBlockingAttack::run(*s.sim, *s.attacker, *s.accessory, *s.target, {});
-          r.success = report.mitm_established;
-        } else {
-          r.success = PageBlockingAttack::baseline_trial(*s.sim, *s.attacker, *s.accessory,
-                                                         *s.target);
-        }
-        r.virtual_end = s.sim->now();
-        if (with_metrics)
-          r.metrics =
-              std::make_shared<const obs::MetricsSnapshot>(s.sim->observer()->snapshot());
-        return r;
-      };
-
-      campaign::CampaignSummary summary;
-      if (use_fork) {
-        snapshot::RecordOptions rec;
-        snapshot::ForkStats stats;
-        if (record_dir != nullptr) {
-          // Per-cell subdirectory: bundle names are per-campaign indices.
-          std::string cell_dir = cfg.label;
-          for (char& c : cell_dir)
-            if (c == ' ' || c == '/') c = '-';
-          rec.dir = std::string(record_dir) + "/" + cell_dir;
-          rec.trial_kind = !with_blocking    ? "page_blocking_baseline"
-                           : with_metrics    ? "page_blocking_attack_metrics"
-                                             : "page_blocking_attack";
-        }
-        summary = snapshot::run_fork_campaign(
-            cfg, params, trial_body, rec.dir.empty() ? nullptr : &rec, &stats);
-        bundles_written += stats.bundle_paths.size();
-      } else {
-        summary = campaign::run_campaign(cfg, [&](const campaign::TrialSpec& spec) {
-          Scenario s = snapshot::build_scenario(spec.seed, params);
-          return trial_body(spec, s);
-        });
+      snapshot::RecordOptions rec;
+      snapshot::ForkStats stats;
+      if (record_dir != nullptr) {
+        // Per-cell subdirectory: bundle names are per-campaign indices.
+        std::string cell_dir = cfg.label;
+        for (char& c : cell_dir)
+          if (c == ' ' || c == '/') c = '-';
+        rec.dir = std::string(record_dir) + "/" + cell_dir;
       }
+      const auto summary = snapshot::run_fork_campaign(
+          cfg, params,
+          snapshot::PageBlockingTrial{.attack = with_blocking, .metrics = with_metrics},
+          &rec, &stats);
+      bundles_written += stats.bundle_paths.size();
       wall_s += static_cast<double>(summary.wall_total_ns) * 1e-9;
       jobs_used = summary.jobs_used;  // engine clamps jobs to the trial count
       json_all += summary.to_json();
@@ -235,12 +199,10 @@ int main(int argc, char** argv) {
     Scenario s = make_scenario(campaign::trial_seed(campaign::trial_seed(root, 1), 0),
                                profile, TransportKind::kUart, true,
                                profile.baseline_mitm_success);
-    obs::ObsConfig obs_cfg;
-    obs_cfg.tracing = true;
-    obs_cfg.metrics = true;
-    auto& observer = s.sim->enable_observability(obs_cfg);
-    (void)PageBlockingAttack::run(*s.sim, *s.attacker, *s.accessory, *s.target, {});
-    emit(trace_path, observer.recorder().to_chrome_json(), "Chrome trace JSON");
+    std::string trace;
+    (void)snapshot::PageBlockingTrial{.attack = true, .metrics = true}.run(s, std::nullopt,
+                                                                           &trace);
+    emit(trace_path, trace, "Chrome trace JSON");
   }
   return emit_ok ? 0 : 1;
 }

@@ -39,6 +39,7 @@
 #include "bench/bench_util.hpp"
 #include "faults/fault_plan.hpp"
 #include "radio/crowd.hpp"
+#include "snapshot/page_blocking_trial.hpp"
 #include "snapshot/scenarios.hpp"
 
 namespace {
@@ -196,23 +197,7 @@ int main(int argc, char** argv) {
         crowd.populate();
         s.sim->run_for(3 * radio::CrowdConfig{}.page_scan_interval);
         crowd.start(s.sim->now() + 60 * kSecond);
-        if (loss > 0.0) {
-          faults::FaultPlan plan;
-          plan.seed = spec.seed;
-          plan.loss = loss;
-          s.sim->set_fault_plan(plan);
-        }
-        campaign::TrialResult r;
-        if (with_blocking) {
-          const auto report = core::PageBlockingAttack::run(*s.sim, *s.attacker,
-                                                            *s.accessory, *s.target, {});
-          r.success = report.mitm_established;
-        } else {
-          r.success = core::PageBlockingAttack::baseline_trial(*s.sim, *s.attacker,
-                                                               *s.accessory, *s.target);
-        }
-        r.virtual_end = s.sim->now();
-        return r;
+        return snapshot::PageBlockingTrial{.attack = with_blocking, .loss = loss}(spec, s);
       });
     };
     const auto baseline = run_cell("baseline", false);

@@ -111,19 +111,8 @@ ChaosCampaignReport run_chaos_campaign(const ChaosCampaignConfig& config) {
         if (rec.outcome != snapshot::ChaosOutcome::kViolation &&
             rec.outcome != snapshot::ChaosOutcome::kStuck)
           continue;
-        snapshot::ReplayBundle bundle;
-        bundle.scenario = config.scenario;
-        bundle.build_seed = config.seed;
-        bundle.trial_index = i;
-        bundle.trial_seed = config.seed;
-        bundle.trial_kind = "chaos_bonded_cell";
-        bundle.chaos_faults = chaos::encode_fault_sites(rec.faults);
-        bundle.warm_setup = "bonded";
-        bundle.expected_success = false;
-        bundle.expected_value = static_cast<double>(static_cast<int>(rec.outcome));
-        bundle.expected_virtual_end = rec.virtual_end;
-        bundle.snapshot = warm->bytes();
-
+        const snapshot::ReplayBundle bundle = snapshot::chaos_bundle(
+            config.scenario, config.seed, i, rec.faults, rec.outcome, rec.virtual_end, *warm);
         char name[64];
         std::snprintf(name, sizeof name, "chaos-%06zu.blapreplay", i);
         const std::string path = config.record_dir + "/" + name;

@@ -72,19 +72,26 @@ DeviceProfile accessory_profile() {
           TransportKind::kUart, false, false, 0.0};
 }
 
-SimTime accessory_interval_for_bias(double attacker_win_probability, SimTime attacker_interval) {
-  const double p = attacker_win_probability;
+namespace {
+
+/// The interval accessory_interval_for_bias() returns, before the cast.
+double interval_for_bias(double p, SimTime attacker_interval) {
   const double a = static_cast<double>(attacker_interval);
-  double c;
-  if (p <= 0.5) {
-    // P(A first) = c / (2a) for c <= a.
-    c = 2.0 * p * a;
-  } else {
-    // P(A first) = 1 - a / (2c) for c >= a.
-    c = a / (2.0 * (1.0 - p));
-  }
-  if (c < 1.0) c = 1.0;
-  return static_cast<SimTime>(c);
+  // P(A first) = c / (2a) for c <= a, and 1 - a / (2c) for c >= a.
+  const double c = p <= 0.5 ? 2.0 * p * a : a / (2.0 * (1.0 - p));
+  return c < 1.0 ? 1.0 : c;
+}
+
+}  // namespace
+
+SimTime accessory_interval_for_bias(double attacker_win_probability, SimTime attacker_interval) {
+  return static_cast<SimTime>(interval_for_bias(attacker_win_probability, attacker_interval));
+}
+
+bool bias_has_interval(double attacker_win_probability, SimTime attacker_interval) {
+  const double p = attacker_win_probability;
+  // NaN fails both comparisons; 2^64 is the least double SimTime cannot hold.
+  return p >= 0.0 && p < 1.0 && interval_for_bias(p, attacker_interval) < 0x1p64;
 }
 
 }  // namespace blap::core

@@ -54,4 +54,10 @@ struct DeviceProfile {
 [[nodiscard]] SimTime accessory_interval_for_bias(double attacker_win_probability,
                                                   SimTime attacker_interval);
 
+/// True when accessory_interval_for_bias() is defined for these inputs: the
+/// probability is in [0, 1) (so finite) and the interval fits a SimTime.
+/// Check untrusted input (a replay bundle's bias) with this first.
+[[nodiscard]] bool bias_has_interval(double attacker_win_probability,
+                                     SimTime attacker_interval);
+
 }  // namespace blap::core

@@ -174,18 +174,7 @@ ExecResult StackTarget::execute(BytesView input, FeatureSink& sink) {
 std::optional<snapshot::ReplayBundle> StackTarget::make_bundle(BytesView input,
                                                                const ExecResult& result) {
   (void)result;  // the bundle records last_report_'s verdict, finding or clean
-  snapshot::ReplayBundle bundle;
-  bundle.scenario = snapshot::bonded_cell_params();
-  bundle.build_seed = kStackSeed;
-  bundle.trial_seed = kStackSeed;
-  bundle.trial_kind = "fuzz_stack";
-  bundle.warm_setup = "bonded";
-  bundle.fuzz_input = to_bytes(input);
-  bundle.expected_success = !last_report_.finding();
-  bundle.expected_value = static_cast<double>(last_report_.violations.size());
-  bundle.expected_virtual_end = last_report_.virtual_end;
-  bundle.snapshot = warm_->bytes();
-  return bundle;
+  return snapshot::fuzz_stack_bundle(kStackSeed, input, last_report_, *warm_);
 }
 
 // --- registry ----------------------------------------------------------------

@@ -128,4 +128,30 @@ ChaosTrialReport run_chaos_trial(Scenario& s, const Snapshot& warm, std::uint64_
   return report;
 }
 
+campaign::TrialResult chaos_verdict(ChaosOutcome outcome, SimTime virtual_end) {
+  campaign::TrialResult verdict;
+  verdict.success = outcome == ChaosOutcome::kCompleted ||
+                    outcome == ChaosOutcome::kRecovered ||
+                    outcome == ChaosOutcome::kCleanError;
+  verdict.value = static_cast<double>(static_cast<int>(outcome));
+  verdict.virtual_end = virtual_end;
+  return verdict;
+}
+
+ReplayBundle chaos_bundle(const ScenarioParams& scenario, std::uint64_t seed,
+                          std::size_t index, const std::vector<chaos::FaultSite>& faults,
+                          ChaosOutcome outcome, SimTime virtual_end, const Snapshot& warm) {
+  ReplayBundle bundle;
+  bundle.scenario = scenario;
+  bundle.build_seed = seed;
+  bundle.trial_index = index;
+  bundle.trial_seed = seed;
+  bundle.trial_kind = kChaosTrialKind;
+  bundle.chaos_faults = chaos::encode_fault_sites(faults);
+  bundle.warm_setup = "bonded";
+  bundle.expect(chaos_verdict(outcome, virtual_end));
+  bundle.snapshot = warm.bytes();
+  return bundle;
+}
+
 }  // namespace blap::snapshot

@@ -31,10 +31,12 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "chaos/failpoint.hpp"
 #include "invariants/monitor.hpp"
+#include "snapshot/replay.hpp"
 #include "snapshot/scenarios.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -100,5 +102,21 @@ using WarmSetupFnPtr = void (*)(Scenario&);
 /// The plan's counters are reset on entry; its hits land in the report.
 [[nodiscard]] ChaosTrialReport run_chaos_trial(Scenario& s, const Snapshot& warm,
                                                std::uint64_t seed, chaos::ChaosPlan& plan);
+
+/// The replay kind of a chaos trial on the bonded cell.
+inline constexpr std::string_view kChaosTrialKind = "chaos_bonded_cell";
+
+/// A chaos trial's verdict, as its bundle records it and replay compares it:
+/// success when the stack held (completed, recovered or a clean error),
+/// value = the outcome code, and the final virtual clock.
+[[nodiscard]] campaign::TrialResult chaos_verdict(ChaosOutcome outcome, SimTime virtual_end);
+
+/// The bundle of the chaos trial `index` that armed `faults` on `scenario`
+/// under `seed`, forked from the "bonded" warm snapshot `warm`.
+[[nodiscard]] ReplayBundle chaos_bundle(const ScenarioParams& scenario, std::uint64_t seed,
+                                        std::size_t index,
+                                        const std::vector<chaos::FaultSite>& faults,
+                                        ChaosOutcome outcome, SimTime virtual_end,
+                                        const Snapshot& warm);
 
 }  // namespace blap::snapshot

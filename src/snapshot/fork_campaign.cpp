@@ -1,9 +1,9 @@
 #include "snapshot/fork_campaign.hpp"
 
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 
 #include "snapshot/replay.hpp"
 #include "snapshot/snapshot.hpp"
@@ -16,8 +16,8 @@ namespace {
 /// count, because nothing here depends on execution order.
 void record_bundles(const campaign::CampaignConfig& config,
                     const ScenarioParams& scenario_params, const Snapshot& warm,
-                    const campaign::CampaignSummary& summary, const RecordOptions& record,
-                    ForkStats* stats) {
+                    const campaign::CampaignSummary& summary, const PageBlockingTrial& trial,
+                    const RecordOptions& record, ForkStats* stats) {
   std::error_code ec;
   std::filesystem::create_directories(record.dir, ec);
   if (ec) return;
@@ -33,14 +33,9 @@ void record_bundles(const campaign::CampaignConfig& config,
     bundle.build_seed = config.root_seed;
     bundle.trial_index = r.index;
     bundle.trial_seed = r.seed;
-    bundle.trial_kind = record.trial_kind;
-    if (record.fault_plan)
-      bundle.fault_plan = record.fault_plan(campaign::TrialSpec{r.index, r.seed});
-    bundle.expected_success = r.success;
-    bundle.expected_value = r.value;
-    bundle.expected_virtual_end = r.virtual_end;
-    if (r.metrics != nullptr && !r.metrics->empty())
-      bundle.expected_metrics_json = r.metrics->to_json();
+    bundle.trial_kind = trial.kind();
+    bundle.fault_plan = trial.fault_plan(r.seed);
+    bundle.expect(r);
     bundle.snapshot = warm.bytes();
 
     char name[64];
@@ -55,19 +50,17 @@ void record_bundles(const campaign::CampaignConfig& config,
 
 }  // namespace
 
-bool fork_mode_enabled() {
-  const char* env = std::getenv("BLAP_SNAPSHOT_FORK");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "1") == 0 || std::strcmp(env, "true") == 0 ||
-         std::strcmp(env, "on") == 0;
-}
-
 campaign::CampaignSummary run_fork_campaign(const campaign::CampaignConfig& config,
                                             const ScenarioParams& scenario,
                                             const ForkTrialFn& trial,
                                             const RecordOptions* record,
                                             ForkStats* stats,
                                             const WarmSetupFn& warm_setup) {
+  const PageBlockingTrial* named = trial.target<PageBlockingTrial>();
+  const bool recording = record != nullptr && !record->dir.empty();
+  if (recording && named == nullptr)
+    throw std::invalid_argument("run_fork_campaign: only a PageBlockingTrial can be recorded");
+
   // The rebuild path a forked trial must be byte-equivalent to. Without a
   // warm-up, build_scenario(spec.seed) directly (setup draws no randomness,
   // so build(seed) == build(root) + reseed(seed)); with one, the warm-up's
@@ -120,8 +113,7 @@ campaign::CampaignSummary run_fork_campaign(const campaign::CampaignConfig& conf
     };
   });
 
-  if (record != nullptr && !record->dir.empty())
-    record_bundles(config, scenario, *warm, summary, *record, stats);
+  if (recording) record_bundles(config, scenario, *warm, summary, *named, *record, stats);
   return summary;
 }
 

@@ -28,12 +28,11 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hpp"
-#include "faults/fault_plan.hpp"
+#include "snapshot/page_blocking_trial.hpp"
 #include "snapshot/scenarios.hpp"
 
 namespace blap::snapshot {
@@ -56,15 +55,8 @@ using WarmSetupFn = std::function<void(Scenario&)>;
 struct RecordOptions {
   /// Destination directory (created if missing). Empty disables recording.
   std::string dir;
-  /// Replay registry key naming what the trial body does — one of
-  /// replay.hpp's known_trial_kind() values — so blap-replay can re-execute
-  /// the bundle standalone.
-  std::string trial_kind;
   /// Which trials to record. Null records the failures.
   std::function<bool(const campaign::TrialResult&)> predicate;
-  /// The fault plan the trial body installed for this spec, if any; stored
-  /// in the bundle so replay can re-install it.
-  std::function<std::optional<faults::FaultPlan>(const campaign::TrialSpec&)> fault_plan;
   /// Cap on bundles written per campaign (first matches in index order).
   std::size_t limit = 8;
 };
@@ -80,16 +72,15 @@ struct ForkStats {
 /// Run `config.trials` trials of `trial` over the scenario described by
 /// `scenario`, forking each from a warm snapshot. Drop-in aggregate-
 /// compatible with campaign::run_campaign over per-trial
-/// build_scenario(spec.seed, scenario).
+/// build_scenario(spec.seed, scenario). `record` names its bundles by the
+/// trial, so it takes a PageBlockingTrial body (any other throws
+/// std::invalid_argument): each bundle stores trial.kind() and
+/// trial.fault_plan(seed).
 campaign::CampaignSummary run_fork_campaign(const campaign::CampaignConfig& config,
                                             const ScenarioParams& scenario,
                                             const ForkTrialFn& trial,
                                             const RecordOptions* record = nullptr,
                                             ForkStats* stats = nullptr,
                                             const WarmSetupFn& warm_setup = {});
-
-/// True when BLAP_SNAPSHOT_FORK=1/true/on is set — the benches' switch
-/// between the rebuild and fork paths.
-[[nodiscard]] bool fork_mode_enabled();
 
 }  // namespace blap::snapshot

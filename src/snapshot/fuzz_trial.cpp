@@ -268,4 +268,26 @@ FuzzStackReport run_fuzz_stack_trial_no_restore(Scenario& s, std::uint64_t seed,
   return run_trial_body(s, seed, input, feature);
 }
 
+campaign::TrialResult fuzz_stack_verdict(const FuzzStackReport& report) {
+  campaign::TrialResult verdict;
+  verdict.success = !report.finding();
+  verdict.value = static_cast<double>(report.violations.size());
+  verdict.virtual_end = report.virtual_end;
+  return verdict;
+}
+
+ReplayBundle fuzz_stack_bundle(std::uint64_t seed, BytesView input,
+                               const FuzzStackReport& report, const Snapshot& warm) {
+  ReplayBundle bundle;
+  bundle.scenario = bonded_cell_params();
+  bundle.build_seed = seed;
+  bundle.trial_seed = seed;
+  bundle.trial_kind = kFuzzStackTrialKind;
+  bundle.warm_setup = "bonded";
+  bundle.fuzz_input = to_bytes(input);
+  bundle.expect(fuzz_stack_verdict(report));
+  bundle.snapshot = warm.bytes();
+  return bundle;
+}
+
 }  // namespace blap::snapshot

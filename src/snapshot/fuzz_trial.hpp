@@ -30,10 +30,12 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "invariants/monitor.hpp"
 #include "snapshot/chaos_trial.hpp"
+#include "snapshot/replay.hpp"
 #include "snapshot/scenarios.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -94,5 +96,19 @@ using FuzzFeatureFn = std::function<void(std::uint8_t, std::uint64_t)>;
 [[nodiscard]] FuzzStackReport run_fuzz_stack_trial_no_restore(
     Scenario& s, std::uint64_t seed, BytesView input,
     const FuzzFeatureFn& feature = nullptr);
+
+/// The replay kind of a stack fuzz trial.
+inline constexpr std::string_view kFuzzStackTrialKind = "fuzz_stack";
+
+/// A stack fuzz trial's verdict, as its bundle records it and replay
+/// compares it: success when there is no finding, value = the violation
+/// count, and the final virtual clock.
+[[nodiscard]] campaign::TrialResult fuzz_stack_verdict(const FuzzStackReport& report);
+
+/// The bundle of the stack fuzz trial that ran `input` under `seed` on the
+/// bonded cell forked from the "bonded" warm snapshot `warm`.
+[[nodiscard]] ReplayBundle fuzz_stack_bundle(std::uint64_t seed, BytesView input,
+                                             const FuzzStackReport& report,
+                                             const Snapshot& warm);
 
 }  // namespace blap::snapshot

@@ -9,9 +9,9 @@
 #include "chaos/failpoint.hpp"
 #include "common/base64.hpp"
 #include "common/state_io.hpp"
-#include "core/page_blocking.hpp"
 #include "snapshot/chaos_trial.hpp"
 #include "snapshot/fuzz_trial.hpp"
+#include "snapshot/page_blocking_trial.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace blap::snapshot {
@@ -298,100 +298,70 @@ std::optional<ReplayBundle> ReplayBundle::load_file(const std::string& path,
 
 namespace {
 
-/// One entry of the trial-kind table: the name a bundle's `trial_kind`
-/// field carries, and how replay re-runs it.
-struct TrialKind {
-  std::string_view name;
-  /// Restores `warm` onto the rebuilt `s` and reseeds it, runs the trial,
-  /// and fills out.result plus the deterministic emits the kind records.
-  /// Returns an error message, empty on success.
-  std::string (*run)(const TrialKind& kind, const ReplayBundle& bundle, Scenario& s,
-                     const Snapshot& warm, bool want_trace, ReplayOutcome& out);
-  bool attack = false;   ///< page-blocking kinds: the attack, not the baseline race
-  bool metrics = false;  ///< page-blocking kinds: record the metrics emit
-};
+/// How replay re-runs one trial kind: restore `warm` onto the rebuilt `s`
+/// and reseed it, run the trial, and fill out.result (and out.trace_json
+/// when `want_trace`). Returns an error message, empty on success.
+using KindRunner = std::string (*)(const ReplayBundle& bundle, Scenario& s,
+                                   const Snapshot& warm, bool want_trace, ReplayOutcome& out);
 
-std::string run_page_blocking(const TrialKind& kind, const ReplayBundle& bundle, Scenario& s,
-                              const Snapshot& warm, bool want_trace, ReplayOutcome& out) {
+std::string run_page_blocking(const ReplayBundle& bundle, Scenario& s, const Snapshot& warm,
+                              bool want_trace, ReplayOutcome& out) {
   std::string why;
   if (!warm.restore(*s.sim, &why)) return "recorded snapshot restore failed: " + why;
   s.sim->reseed(bundle.trial_seed);
-
-  // Mirror the recording campaign's trial body order exactly: observability
-  // first (so its dispatch counters cover the same window), then the fault
-  // plan, then the attack. Tracing is observation-only, so turning it on
-  // for --trace-out cannot perturb the verdict or the metrics.
-  obs::Observer* obs = nullptr;
-  if (kind.metrics || want_trace)
-    obs = &s.sim->enable_observability({.tracing = want_trace, .metrics = kind.metrics});
-  if (bundle.fault_plan.has_value()) s.sim->set_fault_plan(*bundle.fault_plan);
-
-  out.result.success =
-      kind.attack
-          ? core::PageBlockingAttack::run(*s.sim, *s.attacker, *s.accessory, *s.target, {})
-                .mitm_established
-          : core::PageBlockingAttack::baseline_trial(*s.sim, *s.attacker, *s.accessory,
-                                                     *s.target);
-  out.result.virtual_end = s.sim->now();
-  if (obs != nullptr) {
-    if (kind.metrics) {
-      auto metrics = std::make_shared<obs::MetricsSnapshot>(obs->snapshot());
-      out.metrics_json = metrics->to_json();
-      out.result.metrics = std::move(metrics);
-    }
-    if (want_trace) out.trace_json = obs->recorder().to_chrome_json();
-  }
+  out.result = PageBlockingTrial::from_kind(bundle.trial_kind)
+                   ->run(s, bundle.fault_plan, want_trace ? &out.trace_json : nullptr);
   return {};
 }
 
 /// Chaos trials restore under their own armed plan (the snapshot-load
 /// failpoints are part of the explored surface), so run_chaos_trial owns
 /// the restore + reseed.
-std::string run_chaos(const TrialKind&, const ReplayBundle& bundle, Scenario& s,
-                      const Snapshot& warm, bool, ReplayOutcome& out) {
+std::string run_chaos(const ReplayBundle& bundle, Scenario& s, const Snapshot& warm, bool,
+                      ReplayOutcome& out) {
   std::vector<chaos::FaultSite> faults;
   if (!chaos::decode_fault_sites(bundle.chaos_faults, faults) || faults.empty())
     return "chaos trial kind without a valid 'chaos:' fault list";
   auto plan = chaos::ChaosPlan::inject(std::move(faults));
   const auto report = run_chaos_trial(s, warm, bundle.trial_seed, plan);
-  out.result.success = report.outcome == ChaosOutcome::kCompleted ||
-                       report.outcome == ChaosOutcome::kRecovered ||
-                       report.outcome == ChaosOutcome::kCleanError;
-  out.result.value = static_cast<double>(static_cast<int>(report.outcome));
-  out.result.virtual_end = report.virtual_end;
+  out.result = chaos_verdict(report.outcome, report.virtual_end);
   return {};
 }
 
 /// Fuzz trials own their restore + reseed too: the body is shared with the
 /// fuzz engine's stack target, so a pinned finding replays through the exact
-/// code that found it. Verdict: success = clean execution, value = violation
-/// count.
-std::string run_fuzz_stack(const TrialKind&, const ReplayBundle& bundle, Scenario& s,
-                           const Snapshot& warm, bool, ReplayOutcome& out) {
-  const auto report = run_fuzz_stack_trial(s, warm, bundle.trial_seed, bundle.fuzz_input);
-  out.result.success = !report.finding();
-  out.result.value = static_cast<double>(report.violations.size());
-  out.result.virtual_end = report.virtual_end;
+/// code that found it.
+std::string run_fuzz_stack(const ReplayBundle& bundle, Scenario& s, const Snapshot& warm, bool,
+                           ReplayOutcome& out) {
+  out.result = fuzz_stack_verdict(
+      run_fuzz_stack_trial(s, warm, bundle.trial_seed, bundle.fuzz_input));
   return {};
 }
 
-constexpr TrialKind kTrialKinds[] = {
-    {"page_blocking_baseline", run_page_blocking},
-    {"page_blocking_attack", run_page_blocking, /*attack=*/true},
-    {"page_blocking_attack_metrics", run_page_blocking, /*attack=*/true, /*metrics=*/true},
-    {"chaos_bonded_cell", run_chaos},
-    {"fuzz_stack", run_fuzz_stack},
-};
-
-const TrialKind* find_trial_kind(std::string_view name) {
-  for (const TrialKind& kind : kTrialKinds)
-    if (kind.name == name) return &kind;
+KindRunner find_runner(std::string_view kind) {
+  if (PageBlockingTrial::from_kind(kind).has_value()) return run_page_blocking;
+  if (kind == kChaosTrialKind) return run_chaos;
+  if (kind == kFuzzStackTrialKind) return run_fuzz_stack;
   return nullptr;
+}
+
+/// The metrics JSON a verdict records and a re-run is compared by; empty
+/// when the trial recorded no metrics.
+std::string metrics_json(const campaign::TrialResult& verdict) {
+  if (verdict.metrics == nullptr || verdict.metrics->empty()) return {};
+  return verdict.metrics->to_json();
 }
 
 }  // namespace
 
-bool known_trial_kind(const std::string& kind) { return find_trial_kind(kind) != nullptr; }
+void ReplayBundle::expect(const campaign::TrialResult& verdict) {
+  expected_success = verdict.success;
+  expected_value = verdict.value;
+  expected_virtual_end = verdict.virtual_end;
+  expected_metrics_json = metrics_json(verdict);
+}
+
+bool known_trial_kind(const std::string& kind) { return find_runner(kind) != nullptr; }
 
 ReplayOutcome replay_bundle(const ReplayBundle& bundle, bool want_trace) {
   ReplayOutcome out;
@@ -399,8 +369,8 @@ ReplayOutcome replay_bundle(const ReplayBundle& bundle, bool want_trace) {
     out.error = "scenario references a profile row that does not exist";
     return out;
   }
-  const TrialKind* kind = find_trial_kind(bundle.trial_kind);
-  if (kind == nullptr) {
+  const KindRunner run = find_runner(bundle.trial_kind);
+  if (run == nullptr) {
     out.error = "unknown trial kind '" + bundle.trial_kind + "'";
     return out;
   }
@@ -430,9 +400,10 @@ ReplayOutcome replay_bundle(const ReplayBundle& bundle, bool want_trace) {
     return out;
   }
 
-  out.error = kind->run(*kind, bundle, s, *snap, want_trace, out);
+  out.error = run(bundle, s, *snap, want_trace, out);
   if (!out.error.empty()) return out;
   out.executed = true;
+  out.metrics_json = metrics_json(out.result);
   out.verdict_matches = out.result.success == bundle.expected_success &&
                         out.result.value == bundle.expected_value &&
                         out.result.virtual_end == bundle.expected_virtual_end;

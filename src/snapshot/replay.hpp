@@ -7,7 +7,8 @@
 //   * the scenario (a ScenarioParams manifest line — which topology),
 //   * the warm snapshot the trial was forked from (base64 BLAPSNAP bytes),
 //   * the trial identity (index, seed) and the fault plan it ran under,
-//   * what the trial did (a key into replay.cpp's table of trial kinds),
+//   * what the trial did (its trial kind: a PageBlockingTrial::kind(), a
+//     chaos trial or a stack fuzz trial),
 //   * and the recorded verdict: success flag, value, final virtual clock,
 //     and the deterministic metrics JSON when the trial recorded metrics.
 //
@@ -92,6 +93,11 @@ struct ReplayBundle {
   /// Upper bound on the base64 snapshot payload (64 MiB of text).
   static constexpr std::size_t kMaxSnapshotBase64 = 64u << 20;
 
+  /// Record `verdict` as the expected verdict: its success, value and
+  /// virtual end, and its metrics JSON when it carries metrics. Replay
+  /// compares the re-run's TrialResult through the same mapping.
+  void expect(const campaign::TrialResult& verdict);
+
   [[nodiscard]] std::string to_text() const;
   /// Typed-error parse: on failure fills `error` with line/offset/message.
   [[nodiscard]] static std::optional<ReplayBundle> from_text(const std::string& text,
@@ -140,9 +146,10 @@ struct ReplayOutcome {
 /// change the verdict or the metrics).
 [[nodiscard]] ReplayOutcome replay_bundle(const ReplayBundle& bundle, bool want_trace);
 
-/// True for trial kinds replay_bundle() knows how to run — the names in its
-/// one trial-kind table: "page_blocking_baseline", "page_blocking_attack",
-/// "page_blocking_attack_metrics", "chaos_bonded_cell", "fuzz_stack".
+/// True for trial kinds replay_bundle() knows how to run: the four
+/// PageBlockingTrial::kind() names ("page_blocking_baseline",
+/// "page_blocking_attack", each also with "_metrics"), kChaosTrialKind
+/// ("chaos_bonded_cell") and kFuzzStackTrialKind ("fuzz_stack").
 [[nodiscard]] bool known_trial_kind(const std::string& kind);
 
 }  // namespace blap::snapshot

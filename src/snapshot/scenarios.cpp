@@ -5,6 +5,11 @@
 #include <cstdlib>
 
 namespace blap::snapshot {
+namespace {
+
+constexpr auto kAttackerPageScanInterval = static_cast<SimTime>(1.28 * kSecond);
+
+}  // namespace
 
 Scenario build_abc_scenario(std::uint64_t seed, const core::DeviceProfile& victim_profile,
                             core::TransportKind accessory_transport,
@@ -14,7 +19,7 @@ Scenario build_abc_scenario(std::uint64_t seed, const core::DeviceProfile& victi
 
   core::DeviceSpec a =
       core::attacker_profile().to_spec("attacker-A", *BdAddr::parse("aa:aa:aa:00:00:01"));
-  a.controller.page_scan_interval = static_cast<SimTime>(1.28 * kSecond);
+  a.controller.page_scan_interval = kAttackerPageScanInterval;
 
   core::DeviceSpec c = core::accessory_profile().to_spec(
       "accessory-C", *BdAddr::parse("00:1b:7d:da:71:0a"),
@@ -131,6 +136,10 @@ std::optional<ScenarioParams> decode_scenario(std::string_view text) {
       char* rest = nullptr;
       params.baseline_bias = std::strtod(value.c_str(), &rest);
       if (rest == value.c_str() || *rest != '\0') return std::nullopt;
+      // The accessory's page-scan interval is derived from the bias: refuse
+      // one it is undefined for (NaN, outside [0, 1), or too close to 1).
+      if (!core::bias_has_interval(params.baseline_bias, kAttackerPageScanInterval))
+        return std::nullopt;
     } else {
       return std::nullopt;  // unknown key: refuse to half-understand a bundle
     }

@@ -92,7 +92,8 @@ struct ScenarioParams {
 /// One-line `key=value` text form, e.g.
 ///   `kind=abc table=2 profile=5 transport=uart dump=1 bias=0x1p-1`.
 /// The bias is formatted as a C99 hex-float so the double round-trips
-/// exactly through the manifest.
+/// exactly through the manifest; decode refuses a bias the accessory's
+/// interval is undefined for (see core::bias_has_interval).
 [[nodiscard]] std::string encode_scenario(const ScenarioParams& params);
 [[nodiscard]] std::optional<ScenarioParams> decode_scenario(std::string_view text);
 

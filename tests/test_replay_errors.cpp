@@ -73,6 +73,28 @@ TEST(ReplayErrors, UnknownKeyIsRefused) {
   EXPECT_NE(error.message.find("unknown key 'verdict'"), std::string::npos) << error.message;
 }
 
+TEST(ReplayErrors, BiasOutOfRangeIsRefusedAtTheScenarioLine) {
+  // bias=nan: the accessory's page-scan interval would be a NaN cast to
+  // SimTime. Refused where the manifest says it, not at replay.
+  const std::string path = fixture_path("bias-out-of-range.blapreplay");
+  const std::string text = slurp(path);
+  BundleError error;
+  EXPECT_FALSE(ReplayBundle::load_file(path, error).has_value());
+  EXPECT_EQ(error.line, 2u);  // the 'scenario:' line
+  EXPECT_EQ(error.offset, line_offset(text, 2));
+  EXPECT_NE(error.message.find("bad value for 'scenario'"), std::string::npos)
+      << error.message;
+
+  // bias=0x1p+0 (p = 1): the interval would be +inf.
+  std::string edited = text;
+  edited.replace(edited.find("bias=nan"), 8, "bias=0x1p+0");
+  error = {};
+  EXPECT_FALSE(ReplayBundle::from_text(edited, error).has_value());
+  EXPECT_EQ(error.line, 2u);
+  EXPECT_NE(error.message.find("bad value for 'scenario'"), std::string::npos)
+      << error.message;
+}
+
 TEST(ReplayErrors, MissingFieldsAreListedByName) {
   const std::string path = fixture_path("missing-field.blapreplay");
   BundleError error;

@@ -4,19 +4,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/state_io.hpp"
-#include "core/page_blocking.hpp"
 #include "hci/commands.hpp"
 #include "snapshot/chaos_trial.hpp"
 #include "snapshot/fork_campaign.hpp"
 #include "snapshot/fuzz_trial.hpp"
+#include "snapshot/page_blocking_trial.hpp"
 #include "snapshot/replay.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -660,6 +664,19 @@ TEST(ScenarioCodec, RejectsMalformedManifests) {
   EXPECT_FALSE(decode_scenario("kind=abc bogus=1").has_value());   // unknown key
   EXPECT_FALSE(decode_scenario("kind=abc table=2 profile=9999").has_value());
   EXPECT_FALSE(decode_scenario("kind=warp").has_value());
+
+  // A bias the accessory's page-scan interval is undefined for: NaN, outside
+  // [0, 1), or so close to 1 that the interval overflows SimTime.
+  char below_one[64];
+  std::snprintf(below_one, sizeof below_one, "%a", std::nextafter(1.0, 0.0));
+  for (const std::string& bias :
+       std::vector<std::string>{"nan", "inf", "-inf", "-0.1", "1.0", "0x1p+0", below_one})
+    EXPECT_FALSE(decode_scenario("kind=abc table=2 profile=5 bias=" + bias).has_value())
+        << bias;
+  for (const char* bias : {"0", "0x1p-1", "0.9999999999999"})
+    EXPECT_TRUE(decode_scenario(std::string("kind=abc table=2 profile=5 bias=") + bias)
+                    .has_value())
+        << bias;
 }
 
 // --- replay bundle codec -----------------------------------------------------
@@ -715,37 +732,89 @@ TEST(ReplayBundleCodec, RejectsMalformedText) {
 
 TEST(Replay, KnownTrialKinds) {
   EXPECT_TRUE(known_trial_kind("page_blocking_baseline"));
+  EXPECT_TRUE(known_trial_kind("page_blocking_baseline_metrics"));
   EXPECT_TRUE(known_trial_kind("page_blocking_attack"));
   EXPECT_TRUE(known_trial_kind("page_blocking_attack_metrics"));
+  EXPECT_TRUE(known_trial_kind("chaos_bonded_cell"));
+  EXPECT_TRUE(known_trial_kind("fuzz_stack"));
   EXPECT_FALSE(known_trial_kind("warp_drive"));
   EXPECT_FALSE(known_trial_kind(""));
+
+  // Every page-blocking trial's kind names that trial back.
+  for (const bool attack : {false, true}) {
+    for (const bool metrics : {false, true}) {
+      const PageBlockingTrial trial{.attack = attack, .metrics = metrics, .loss = 0.35};
+      const auto back = PageBlockingTrial::from_kind(trial.kind());
+      ASSERT_TRUE(back.has_value()) << trial.kind();
+      EXPECT_EQ(back->attack, attack);
+      EXPECT_EQ(back->metrics, metrics);
+    }
+  }
+}
+
+TEST(Replay, ChaosAndFuzzVerdictsAreTheRecordedOnes) {
+  // A chaos bundle records success exactly when the stack held, and the
+  // outcome code as its value.
+  for (const ChaosOutcome outcome :
+       {ChaosOutcome::kCompleted, ChaosOutcome::kRecovered, ChaosOutcome::kCleanError,
+        ChaosOutcome::kStuck, ChaosOutcome::kViolation}) {
+    const campaign::TrialResult verdict = chaos_verdict(outcome, 1234);
+    EXPECT_EQ(verdict.success,
+              outcome != ChaosOutcome::kStuck && outcome != ChaosOutcome::kViolation);
+    EXPECT_EQ(verdict.value, static_cast<double>(static_cast<int>(outcome)));
+    EXPECT_EQ(verdict.virtual_end, 1234u);
+  }
+  // A fuzz_stack bundle records success when there is no finding, and the
+  // violation count as its value.
+  FuzzStackReport report;
+  report.virtual_end = 99;
+  EXPECT_TRUE(fuzz_stack_verdict(report).success);
+  report.violations.resize(2);
+  EXPECT_FALSE(fuzz_stack_verdict(report).success);
+  EXPECT_EQ(fuzz_stack_verdict(report).value, 2.0);
+  EXPECT_EQ(fuzz_stack_verdict(report).virtual_end, 99u);
 }
 
 // --- fork campaign -----------------------------------------------------------
 
-campaign::TrialResult baseline_body(const campaign::TrialSpec&, Scenario& s) {
-  campaign::TrialResult r;
-  r.success =
-      core::PageBlockingAttack::baseline_trial(*s.sim, *s.attacker, *s.accessory, *s.target);
-  r.virtual_end = s.sim->now();
-  return r;
-}
-
 TEST(ForkCampaign, MatchesRebuildPathByteForByte) {
-  const ScenarioParams params = abc_params();
-  campaign::CampaignConfig cfg;
-  cfg.label = "fork equivalence";
-  cfg.trials = 8;
-  cfg.root_seed = 4242;
+  // Every Table II row's baseline and attack, both with metrics on, and the
+  // attack under bench_fault_sweep's 35 % loss plan: forked at 1 and 8
+  // workers, each equals a per-trial rebuild byte for byte.
+  struct Input {
+    std::size_t row;
+    PageBlockingTrial trial;
+  };
+  std::vector<Input> inputs;
+  for (std::size_t row = 0; row < core::table2_profiles().size(); ++row) {
+    inputs.push_back({row, {.attack = false}});
+    inputs.push_back({row, {.attack = true}});
+  }
+  inputs.push_back({5, {.attack = false, .metrics = true}});
+  inputs.push_back({5, {.attack = true, .metrics = true}});
+  inputs.push_back({5, {.attack = true, .metrics = true, .loss = 0.35}});
 
-  const auto rebuild = campaign::run_campaign(cfg, [&](const campaign::TrialSpec& spec) {
-    Scenario s = build_scenario(spec.seed, params);
-    return baseline_body(spec, s);
-  });
-  ForkStats stats;
-  const auto fork = run_fork_campaign(cfg, params, baseline_body, nullptr, &stats);
-  EXPECT_TRUE(stats.fork_used) << stats.fallback_reason;
-  EXPECT_EQ(rebuild.to_json(true), fork.to_json(true));
+  for (const Input& input : inputs) {
+    SCOPED_TRACE("row " + std::to_string(input.row) + " " + std::string(input.trial.kind()) +
+                 (input.trial.loss ? " loss" : ""));
+    const ScenarioParams params = abc_params(input.row);
+    campaign::CampaignConfig cfg;
+    cfg.label = "fork equivalence";
+    cfg.trials = 8;
+    cfg.root_seed = 4242;
+    cfg.jobs = 1;
+    const auto rebuild = campaign::run_campaign(cfg, [&](const campaign::TrialSpec& spec) {
+      Scenario s = build_scenario(spec.seed, params);
+      return input.trial(spec, s);
+    });
+    for (const unsigned jobs : {1u, 8u}) {
+      cfg.jobs = jobs;
+      ForkStats stats;
+      const auto fork = run_fork_campaign(cfg, params, input.trial, nullptr, &stats);
+      EXPECT_TRUE(stats.fork_used) << stats.fallback_reason;
+      EXPECT_EQ(rebuild.to_json(true), fork.to_json(true)) << "jobs " << jobs;
+    }
+  }
 }
 
 TEST(ForkCampaign, WarmSetupSharesAnExpensivePrefix) {
@@ -830,28 +899,42 @@ TEST(ForkCampaign, RecordsFailureBundlesThatReplay) {
 
   const auto dir =
       (std::filesystem::temp_directory_path() / "blap_test_record").string();
-  std::filesystem::remove_all(dir);
+  // With metrics on or off, a bundle names the kind that replays its trial.
+  for (const PageBlockingTrial trial : {PageBlockingTrial{}, PageBlockingTrial{.metrics = true}}) {
+    SCOPED_TRACE(std::string(trial.kind()));
+    std::filesystem::remove_all(dir);
+    RecordOptions rec;
+    rec.dir = dir;
+    rec.limit = 2;
+    ForkStats stats;
+    const auto summary = run_fork_campaign(cfg, params, trial, &rec, &stats);
+    ASSERT_TRUE(stats.fork_used) << stats.fallback_reason;
+    ASSERT_FALSE(stats.bundle_paths.empty());  // baselines do fail sometimes
+    EXPECT_LE(stats.bundle_paths.size(), rec.limit);
+    EXPECT_LT(summary.success_rate, 1.0);
+
+    for (const std::string& path : stats.bundle_paths) {
+      std::string why;
+      const auto bundle = ReplayBundle::load_file(path, &why);
+      ASSERT_TRUE(bundle.has_value()) << path << ": " << why;
+      EXPECT_EQ(bundle->trial_kind, trial.kind());
+      EXPECT_EQ(bundle->expected_metrics_json.empty(), !trial.metrics);
+      const ReplayOutcome outcome = replay_bundle(*bundle, /*want_trace=*/false);
+      EXPECT_TRUE(outcome.executed) << outcome.error;
+      EXPECT_TRUE(outcome.reproduced()) << path;
+      EXPECT_TRUE(outcome.snapshot_matches) << path;
+      EXPECT_FALSE(bundle->expected_success);  // default predicate records failures
+    }
+  }
+
+  // A body that is not a PageBlockingTrial names no kind: recording it is
+  // refused before any trial runs.
   RecordOptions rec;
   rec.dir = dir;
-  rec.trial_kind = "page_blocking_baseline";
-  rec.limit = 2;
-  ForkStats stats;
-  const auto summary = run_fork_campaign(cfg, params, baseline_body, &rec, &stats);
-  ASSERT_TRUE(stats.fork_used) << stats.fallback_reason;
-  ASSERT_FALSE(stats.bundle_paths.empty());  // baselines do fail sometimes
-  EXPECT_LE(stats.bundle_paths.size(), rec.limit);
-  EXPECT_LT(summary.success_rate, 1.0);
-
-  for (const std::string& path : stats.bundle_paths) {
-    std::string why;
-    const auto bundle = ReplayBundle::load_file(path, &why);
-    ASSERT_TRUE(bundle.has_value()) << path << ": " << why;
-    const ReplayOutcome outcome = replay_bundle(*bundle, /*want_trace=*/false);
-    EXPECT_TRUE(outcome.executed) << outcome.error;
-    EXPECT_TRUE(outcome.reproduced()) << path;
-    EXPECT_TRUE(outcome.snapshot_matches) << path;
-    EXPECT_FALSE(bundle->expected_success);  // default predicate records failures
-  }
+  const ForkTrialFn wrapped = [](const campaign::TrialSpec& spec, Scenario& s) {
+    return PageBlockingTrial{}(spec, s);
+  };
+  EXPECT_THROW((void)run_fork_campaign(cfg, params, wrapped, &rec), std::invalid_argument);
   std::filesystem::remove_all(dir);
 }
 

@@ -41,38 +41,13 @@
 // builders, or the trial bodies deliberately change.
 #include <cstdio>
 #include <filesystem>
-#include <memory>
+#include <functional>
+#include <utility>
 
-#include "core/page_blocking.hpp"
 #include "fuzz/targets.hpp"
-#include "obs/obs.hpp"
 #include "snapshot/chaos_trial.hpp"
 #include "snapshot/fork_campaign.hpp"
 #include "snapshot/replay.hpp"
-
-namespace {
-
-using namespace blap;
-
-campaign::TrialResult attack_metrics_body(const campaign::TrialSpec& spec,
-                                          snapshot::Scenario& s, double loss) {
-  auto& obs = s.sim->enable_observability({.tracing = false, .metrics = true});
-  if (loss > 0.0) {
-    faults::FaultPlan plan;
-    plan.seed = spec.seed;
-    plan.loss = loss;
-    s.sim->set_fault_plan(plan);
-  }
-  const auto report =
-      core::PageBlockingAttack::run(*s.sim, *s.attacker, *s.accessory, *s.target, {});
-  campaign::TrialResult r;
-  r.success = report.mitm_established;
-  r.virtual_end = s.sim->now();
-  r.metrics = std::make_shared<obs::MetricsSnapshot>(obs.snapshot());
-  return r;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace blap;
@@ -94,92 +69,50 @@ int main(int argc, char** argv) {
   params.baseline_bias = core::table2_profiles()[5].baseline_mitm_success;
 
   int written = 0;
-  const auto report = [&written](const char* what, const snapshot::ForkStats& stats) {
+  // Fork `trial` over `cfg` from the row-5 topology and record the first
+  // trial `predicate` matches (null: the first failure) under out_dir/name.
+  const auto record = [&](const char* name, const campaign::CampaignConfig& cfg,
+                          const snapshot::PageBlockingTrial& trial,
+                          std::function<bool(const campaign::TrialResult&)> predicate) {
+    snapshot::RecordOptions rec;
+    rec.dir = out_dir + "/" + name;
+    rec.predicate = std::move(predicate);
+    rec.limit = 1;
+    snapshot::ForkStats stats;
+    (void)snapshot::run_fork_campaign(cfg, params, trial, &rec, &stats);
     for (const auto& path : stats.bundle_paths) {
-      std::printf("%-17s -> %s\n", what, path.c_str());
+      std::printf("%-17s -> %s\n", name, path.c_str());
       ++written;
     }
+  };
+  const campaign::SeedFn sequential = [](std::uint64_t root, std::size_t index) {
+    return root + index;
   };
 
   // baseline-miss: first clean-channel baseline failure (attacker lost the
   // page race). Sequential seeds from the bench_table2 root.
-  {
-    campaign::CampaignConfig cfg;
-    cfg.label = "corpus baseline";
-    cfg.trials = 50;
-    cfg.root_seed = 10'000;
-    cfg.seed_fn = [](std::uint64_t root, std::size_t index) { return root + index; };
-    snapshot::RecordOptions rec;
-    rec.dir = out_dir + "/baseline-miss";
-    rec.trial_kind = "page_blocking_baseline";
-    rec.limit = 1;
-    snapshot::ForkStats stats;
-    (void)snapshot::run_fork_campaign(
-        cfg, params,
-        [](const campaign::TrialSpec&, snapshot::Scenario& s) {
-          campaign::TrialResult r;
-          r.success = core::PageBlockingAttack::baseline_trial(*s.sim, *s.attacker,
-                                                               *s.accessory, *s.target);
-          r.virtual_end = s.sim->now();
-          return r;
-        },
-        &rec, &stats);
-    report("baseline-miss", stats);
-  }
+  record("baseline-miss",
+         {.label = "corpus baseline", .trials = 50, .root_seed = 10'000, .seed_fn = sequential},
+         {.attack = false}, nullptr);
 
   // attack-clean: one deterministic page blocking success, metrics on.
-  {
-    campaign::CampaignConfig cfg;
-    cfg.label = "corpus attack";
-    cfg.trials = 1;
-    cfg.root_seed = 20'000;
-    cfg.seed_fn = [](std::uint64_t root, std::size_t index) { return root + index; };
-    snapshot::RecordOptions rec;
-    rec.dir = out_dir + "/attack-clean";
-    rec.trial_kind = "page_blocking_attack_metrics";
-    rec.predicate = [](const campaign::TrialResult& r) { return r.success; };
-    rec.limit = 1;
-    snapshot::ForkStats stats;
-    (void)snapshot::run_fork_campaign(
-        cfg, params,
-        [](const campaign::TrialSpec& spec, snapshot::Scenario& s) {
-          return attack_metrics_body(spec, s, 0.0);
-        },
-        &rec, &stats);
-    report("attack-clean", stats);
-  }
+  record("attack-clean",
+         {.label = "corpus attack", .trials = 1, .root_seed = 20'000, .seed_fn = sequential},
+         {.attack = true, .metrics = true},
+         [](const campaign::TrialResult& r) { return r.success; });
 
   // lossy-supervision: bench_fault_sweep's 35 % cell; record the first trial
   // whose ARQ hit a supervision timeout.
-  {
-    campaign::CampaignConfig cfg;
-    cfg.label = "corpus lossy";
-    cfg.trials = 50;
-    cfg.root_seed = 77'000 + 3 * 1'000'000;
-    snapshot::RecordOptions rec;
-    rec.dir = out_dir + "/lossy-supervision";
-    rec.trial_kind = "page_blocking_attack_metrics";
-    rec.predicate = [](const campaign::TrialResult& r) {
-      if (r.metrics == nullptr) return false;
-      const auto it = r.metrics->counters.find("controller.supervision_timeouts");
-      return it != r.metrics->counters.end() && it->second > 0;
-    };
-    rec.fault_plan = [](const campaign::TrialSpec& spec) {
-      faults::FaultPlan plan;
-      plan.seed = spec.seed;
-      plan.loss = 0.35;
-      return std::optional<faults::FaultPlan>(plan);
-    };
-    rec.limit = 1;
-    snapshot::ForkStats stats;
-    (void)snapshot::run_fork_campaign(
-        cfg, params,
-        [](const campaign::TrialSpec& spec, snapshot::Scenario& s) {
-          return attack_metrics_body(spec, s, 0.35);
-        },
-        &rec, &stats);
-    report("lossy-supervision", stats);
-  }
+  record("lossy-supervision",
+         {.label = "corpus lossy",
+          .trials = 50,
+          .root_seed = 77'000 + 3 * 1'000'000,
+          .seed_fn = nullptr},  // the default SplitMix64 trial seeds
+         {.attack = true, .metrics = true, .loss = 0.35}, [](const campaign::TrialResult& r) {
+           if (r.metrics == nullptr) return false;
+           const auto it = r.metrics->counters.find("controller.supervision_timeouts");
+           return it != r.metrics->counters.end() && it->second > 0;
+         });
 
   // Chaos regressions: one bundle per fixed sweep finding. Each replays the
   // bonded-cell chaos trial with exactly the fault that exposed the bug and
@@ -212,19 +145,9 @@ int main(int argc, char** argv) {
         continue;
       }
 
-      snapshot::ReplayBundle bundle;
-      bundle.scenario = snapshot::bonded_cell_params();
-      bundle.build_seed = seed;
-      bundle.trial_index = 0;
-      bundle.trial_seed = seed;
-      bundle.trial_kind = "chaos_bonded_cell";
-      bundle.chaos_faults = chaos::encode_fault_sites({pin.fault});
-      bundle.warm_setup = "bonded";
-      bundle.expected_success = true;
-      bundle.expected_value = static_cast<double>(static_cast<int>(trial.outcome));
-      bundle.expected_virtual_end = trial.virtual_end;
-      bundle.snapshot = warm->bytes();
-
+      const snapshot::ReplayBundle bundle =
+          snapshot::chaos_bundle(snapshot::bonded_cell_params(), seed, 0, {pin.fault},
+                                 trial.outcome, trial.virtual_end, *warm);
       const std::string dir = out_dir + "/" + pin.dir;
       std::filesystem::create_directories(dir, ec);
       const std::string path = dir + "/chaos-000000.blapreplay";
